@@ -5,11 +5,8 @@ module Int_feedback = Int_feedback
 
 type t = { sender : Sender.t; receiver : Receiver.t }
 
-let create ?metrics ?tracer engine config =
-  {
-    sender = Sender.create ?metrics ?tracer engine config;
-    receiver = Receiver.create ?metrics ?tracer engine config;
-  }
+let create engine config =
+  { sender = Sender.create engine config; receiver = Receiver.create engine config }
 
 (* The span guards are inlined (no [with_span]): a closure per packet on
    the datapath would show up in the very allocation accounting the spans

@@ -17,8 +17,9 @@ module Int_feedback = Int_feedback
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Trace.t -> Eventsim.Engine.t -> Config.t -> t
-(** Build the sender and receiver modules for one host. *)
+val create : Eventsim.Engine.t -> Config.t -> t
+(** Build the sender and receiver modules for one host.  Both register
+    their counters in, and trace to, the ambient {!Obs.Runtime} sinks. *)
 
 val attach : t -> Vswitch.Datapath.t -> unit
 (** Register the AC/DC processor on a datapath. *)

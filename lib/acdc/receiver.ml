@@ -18,14 +18,13 @@ type t = {
 
 let enforced t key = (t.config.Config.policy key).Config.enforce
 
-let create ?metrics ?tracer engine config =
-  let registry = match metrics with Some m -> m | None -> Obs.Runtime.metrics () in
-  let scope = Obs.Metrics.scope registry "acdc.receiver" in
+let create engine config =
+  let scope = Obs.Metrics.scope (Obs.Runtime.metrics ()) "acdc.receiver" in
   {
     config;
     engine;
     table = Vswitch.Flow_table.create engine ();
-    tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
+    tracer = Obs.Runtime.tracer ();
     m_packs_sent = Obs.Metrics.scope_counter scope "packs_sent";
     m_facks_sent = Obs.Metrics.scope_counter scope "facks_sent";
   }

@@ -9,10 +9,11 @@
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Trace.t -> Eventsim.Engine.t -> Config.t -> t
-(** [tracer] (default: the ambient {!Obs.Runtime.tracer}) receives a
-    [Pack_attach] event per PACK carrier and a [Created] event per
-    injected FACK. *)
+val create : Eventsim.Engine.t -> Config.t -> t
+(** Counters register under [acdc.receiver.*] in the ambient
+    {!Obs.Runtime.metrics}.  The ambient {!Obs.Runtime.tracer} at creation
+    time receives a [Pack_attach] event per PACK carrier and a [Created]
+    event per injected FACK. *)
 
 val ingress :
   t -> Dcpkt.Packet.t -> inject:(Dcpkt.Packet.t -> unit) -> Vswitch.Datapath.verdict

@@ -53,14 +53,13 @@ type t = {
   mutable window_hook : Flow_key.t -> Time_ns.t -> int -> unit;
 }
 
-let create ?metrics ?tracer engine config =
-  let registry = match metrics with Some m -> m | None -> Obs.Runtime.metrics () in
-  let scope = Obs.Metrics.scope registry "acdc.sender" in
+let create engine config =
+  let scope = Obs.Metrics.scope (Obs.Runtime.metrics ()) "acdc.sender" in
   {
     engine;
     config;
     table = Vswitch.Flow_table.create engine ();
-    tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
+    tracer = Obs.Runtime.tracer ();
     m_rwnd_rewrites = Obs.Metrics.scope_counter scope "rwnd_rewrites";
     m_policer_drops = Obs.Metrics.scope_counter scope "policer_drops";
     m_inferred_timeouts = Obs.Metrics.scope_counter scope "inferred_timeouts";

@@ -10,7 +10,11 @@
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Trace.t -> Eventsim.Engine.t -> Config.t -> t
+val create : Eventsim.Engine.t -> Config.t -> t
+(** Counters register under [acdc.sender.*] in the ambient
+    {!Obs.Runtime.metrics}; RWND rewrites, alpha updates, dupacks, inferred
+    timeouts, policer drops and assist ACKs are traced to the ambient
+    {!Obs.Runtime.tracer} at creation time. *)
 
 val egress :
   t -> Dcpkt.Packet.t -> inject:(Dcpkt.Packet.t -> unit) -> Vswitch.Datapath.verdict

@@ -11,39 +11,18 @@
     order they were scheduled (FIFO).  [run ~until] fires every event with
     time [<= until] — an event scheduled {e exactly at} [until] fires, it
     does not stay queued — and leaves the clock at [until] with strictly
-    later events still pending.  Both queue backends implement this
-    contract bit-for-bit; the differential harness in
-    [test/test_eventsim.ml] holds them to it.
-
-    {2 Backends}
-
-    The queue is either the hierarchical {!Timing_wheel} (default: O(1)
-    amortized, pooled cells, allocation-free hot path) or the legacy
-    binary {!Event_heap} (O(log n), kept as the differential-testing
-    oracle).  The process-wide default comes from the [ACDC_SCHED]
-    environment variable (["wheel"] or ["heap"]); individual engines can
-    override it at [create]. *)
+    later events still pending.  The queue is the hierarchical
+    {!Timing_wheel} (O(1) amortized, pooled cells, allocation-free hot
+    path).  The differential harness in [test/test_eventsim.ml] holds
+    this engine to the contract against a small reference engine built
+    on a binary heap that lives only in the test tree. *)
 
 type t
-
-type backend = Heap | Wheel
-
-val backend_of_string : string -> backend option
-val backend_name : backend -> string
-
-val default_backend : unit -> backend
-(** The ambient backend for [create]: initialized from [ACDC_SCHED]
-    (["wheel"] when unset; an unrecognized value raises at startup). *)
-
-val set_default_backend : backend -> unit
-(** Override the ambient backend — used by the cross-scheduler identity
-    tests to run the same seeded scenario once per queue implementation. *)
 
 type timer
 (** A cancellable scheduled event. *)
 
-val create : ?backend:backend -> unit -> t
-val backend : t -> backend
+val create : unit -> t
 
 val now : t -> Time_ns.t
 (** Current virtual time. *)
@@ -83,7 +62,8 @@ val schedule_static_after : t -> delay:Time_ns.t -> ('a, 'b) handler -> 'a -> 'b
 
 val timer_after : t -> delay:Time_ns.t -> (unit -> unit) -> timer
 (** Like [schedule_after] but returns a handle that can be cancelled.
-    The queue cell is pooled; only the handle itself is allocated. *)
+    The queue cell is pooled; only the handle itself is allocated.  A
+    negative [delay] raises [Invalid_argument], as [schedule_after] does. *)
 
 val cancel : timer -> unit
 (** Cancelling a fired or already-cancelled timer is a no-op.  The dead

@@ -10,11 +10,10 @@
     amortized regardless of population — the binary heap's O(log n)
     compares (and its per-push entry allocation) are gone.
 
-    Determinism contract, identical to {!Event_heap}: extraction order is
-    time first, then insertion sequence (FIFO within an instant).  The
-    equivalence is enforced by the differential harness in
-    [test/test_eventsim.ml], which drives both structures with identical
-    randomized scripts.
+    Determinism contract: extraction order is time first, then insertion
+    sequence (FIFO within an instant).  The differential harness in
+    [test/test_eventsim.ml] enforces it by driving the wheel and a
+    test-side binary-heap oracle with identical randomized scripts.
 
     Cells are pooled: popping returns a cell to an internal free list and
     pushing reuses it, so a steady-state simulation allocates nothing per

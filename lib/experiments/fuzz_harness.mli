@@ -61,18 +61,6 @@ val report_of_outcomes : ?id:string -> outcome list -> Obs.Report.t
 
 val print_outcome : outcome -> unit
 
-(** {2 Cross-scheduler identity} *)
-
-type backend_divergence = { div_seed : int; div_artifact : string }
-
-val scheduler_identity :
-  ?trace:bool -> ?pcap:bool -> seeds:int list -> unit -> backend_divergence list
-(** Run each seed's scenario once under the heap backend and once under
-    the wheel backend and compare every rendered artifact — outcome JSON,
-    metrics registry, trace JSONL, pcap bytes — for byte identity.
-    Returns the divergences (empty = the determinism contract held).
-    Restores the ambient backend and sinks afterwards. *)
-
 (** {2 Directed adversarial check (§3.3)} *)
 
 type adversarial_result = {

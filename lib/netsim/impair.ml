@@ -116,16 +116,15 @@ type t = {
   c_reordered : Metrics.counter;
 }
 
-let create ?metrics ?tracer ?pcap engine ?(name = "link") ~rng ~config ~deliver () =
-  let metrics = match metrics with Some m -> m | None -> Obs.Runtime.metrics () in
-  let scope = Metrics.scope metrics (Printf.sprintf "impair.%s" name) in
+let create engine ?(name = "link") ~rng ~config ~deliver () =
+  let scope = Metrics.scope (Obs.Runtime.metrics ()) (Printf.sprintf "impair.%s" name) in
   {
     engine;
     rng;
     config;
     deliver;
-    tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
-    pcap = (match pcap with Some p -> p | None -> Obs.Runtime.pcap ());
+    tracer = Obs.Runtime.tracer ();
+    pcap = Obs.Runtime.pcap ();
     link = Printf.sprintf "impair.%s" name;
     c_offered = Metrics.scope_counter scope "offered";
     c_lost = Metrics.scope_counter scope "lost";
@@ -217,10 +216,10 @@ let deliver t pkt =
   end
   else deliver_unprofiled t pkt
 
-let wrap ?metrics ?tracer ?pcap engine ?name ~rng ~config inner =
+let wrap engine ?name ~rng ~config inner =
   if is_clean config then inner
   else
-    let t = create ?metrics ?tracer ?pcap engine ?name ~rng ~config ~deliver:inner () in
+    let t = create engine ?name ~rng ~config ~deliver:inner () in
     fun pkt -> deliver t pkt
 
 (* Ambient default, mirroring [Obs.Runtime]: the CLI installs a spec

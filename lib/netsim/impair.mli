@@ -52,9 +52,6 @@ val config_to_json : config -> Obs.Json.t
 type t
 
 val create :
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Trace.t ->
-  ?pcap:Obs.Pcap.t ->
   Eventsim.Engine.t ->
   ?name:string ->
   rng:Eventsim.Rng.t ->
@@ -62,25 +59,21 @@ val create :
   deliver:(Dcpkt.Packet.t -> unit) ->
   unit ->
   t
-(** Counters register under [impair.<name>.*] in [metrics] (default: the
-    ambient {!Obs.Runtime.metrics}).
+(** Counters register under [impair.<name>.*] in the ambient
+    {!Obs.Runtime.metrics}.
 
-    Every impairment decision also emits an [Impaired] trace event on
-    [tracer] (default: the ambient tracer), keyed by the packet id and
-    labelled [impair.<name>] — one event per metrics increment, so traces
-    and counters always agree.  [pcap] (default: the ambient capture sink)
-    records the frames the link carries forward — duplicates included,
-    lost and corrupted frames excluded, exactly what a receiver-side
-    tcpdump would show. *)
+    Every impairment decision also emits an [Impaired] trace event on the
+    ambient tracer, keyed by the packet id and labelled [impair.<name>] —
+    one event per metrics increment, so traces and counters always agree.
+    The ambient pcap sink records the frames the link carries forward —
+    duplicates included, lost and corrupted frames excluded, exactly what
+    a receiver-side tcpdump would show. *)
 
 val deliver : t -> Dcpkt.Packet.t -> unit
 (** Run one packet through the impairment; zero, one or two calls of the
     wrapped [deliver] result (possibly delayed). *)
 
 val wrap :
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Trace.t ->
-  ?pcap:Obs.Pcap.t ->
   Eventsim.Engine.t ->
   ?name:string ->
   rng:Eventsim.Rng.t ->

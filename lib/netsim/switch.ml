@@ -53,10 +53,9 @@ type t = {
   g_buffer_max : Metrics.gauge;
 }
 
-let create ?metrics ?tracer engine ?(name = "sw") ?(buffer_capacity = 9 * 1024 * 1024)
-    ?(dt_alpha = 1.0) ?ecn () =
-  let registry = match metrics with Some m -> m | None -> Obs.Runtime.metrics () in
-  let scope = Metrics.scope registry ("switch." ^ name) in
+let create engine ?(name = "sw") ?(buffer_capacity = 9 * 1024 * 1024) ?(dt_alpha = 1.0) ?ecn
+    () =
+  let scope = Metrics.scope (Obs.Runtime.metrics ()) ("switch." ^ name) in
   {
     engine;
     rng = Eventsim.Rng.create ~seed:(Hashtbl.hash name + buffer_capacity);
@@ -64,7 +63,7 @@ let create ?metrics ?tracer engine ?(name = "sw") ?(buffer_capacity = 9 * 1024 *
     buffer_capacity;
     dt_alpha;
     ecn;
-    tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
+    tracer = Obs.Runtime.tracer ();
     ports = [||];
     nports = 0;
     routes = Hashtbl.create 64;
@@ -82,8 +81,7 @@ let create ?metrics ?tracer engine ?(name = "sw") ?(buffer_capacity = 9 * 1024 *
 let add_port t ~rate_bps ~prop_delay ?jitter ~deliver () =
   let idx = t.nports in
   let txq =
-    Txq.create t.engine ~tracer:t.tracer ~node:t.name ~port:idx ~rate_bps ~prop_delay ~jitter
-      ~deliver
+    Txq.create t.engine ~node:t.name ~port:idx ~rate_bps ~prop_delay ~jitter ~deliver
   in
   let port =
     {

@@ -20,8 +20,6 @@ type ecn_config = {
 }
 
 val create :
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Trace.t ->
   Eventsim.Engine.t ->
   ?name:string ->
   ?buffer_capacity:int ->
@@ -32,10 +30,10 @@ val create :
 (** [buffer_capacity] defaults to 9 MB; [dt_alpha] is the dynamic-threshold
     factor (default 1.0); [ecn = None] disables WRED/ECN (drop-tail only).
 
-    Counters register under [switch.<name>.*] in [metrics] (default: the
-    ambient {!Obs.Runtime.metrics}); drops, CE marks and per-port
-    enqueue/dequeue flow to [tracer] (default: {!Obs.Runtime.tracer} at
-    creation time). *)
+    Counters register under [switch.<name>.*] in the ambient
+    {!Obs.Runtime.metrics}; drops, CE marks and per-port enqueue/dequeue
+    flow to the ambient {!Obs.Runtime.tracer}, read when the switch and
+    each of its ports are created. *)
 
 val add_port :
   t ->

@@ -64,11 +64,11 @@ type t = {
 
 let initial_ring = 64
 
-let create ?metrics ?tracer ?pcap ?(node = "txq") ?(port = 0) engine ~rate_bps ~prop_delay
-    ~jitter ~deliver =
+let create ?(node = "txq") ?(port = 0) engine ~rate_bps ~prop_delay ~jitter ~deliver =
   assert (rate_bps > 0);
-  let registry = match metrics with Some m -> m | None -> Obs.Runtime.metrics () in
-  let scope = Obs.Metrics.scope registry (Printf.sprintf "txq.%s.port%d" node port) in
+  let scope =
+    Obs.Metrics.scope (Obs.Runtime.metrics ()) (Printf.sprintf "txq.%s.port%d" node port)
+  in
   {
     engine;
     rate_bps;
@@ -88,8 +88,8 @@ let create ?metrics ?tracer ?pcap ?(node = "txq") ?(port = 0) engine ~rate_bps ~
     d_head = 0;
     d_len = 0;
     d_armed = false;
-    tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
-    pcap = (match pcap with Some p -> p | None -> Obs.Runtime.pcap ());
+    tracer = Obs.Runtime.tracer ();
+    pcap = Obs.Runtime.pcap ();
     iface = Printf.sprintf "%s:%d" node port;
     node;
     port;

@@ -8,9 +8,6 @@
 type t
 
 val create :
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Trace.t ->
-  ?pcap:Obs.Pcap.t ->
   ?node:string ->
   ?port:int ->
   Eventsim.Engine.t ->
@@ -23,18 +20,17 @@ val create :
     sub-microsecond timing noise of real links.  Without it a deterministic
     simulation can phase-lock queues at artificial equilibria.
 
-    [tracer] (default: the ambient {!Obs.Runtime.tracer} at creation time)
-    receives an [Enqueue] event per admitted packet and a [Dequeue] event
-    when a packet finishes serializing, labelled [node]:[port].
+    The sinks are the ambient {!Obs.Runtime} ones at creation time.  The
+    tracer receives an [Enqueue] event per admitted packet and a [Dequeue]
+    event when a packet finishes serializing, labelled [node]:[port].
 
-    [pcap] (default: the ambient {!Obs.Runtime.pcap}) captures each frame
-    on interface ["node:port"] at the moment it finishes serializing, so
-    the capture shows the header state downstream nodes will see.
+    The pcap sink captures each frame on interface ["node:port"] at the
+    moment it finishes serializing, so the capture shows the header state
+    downstream nodes will see.
 
-    [metrics] (default: the ambient {!Obs.Runtime.metrics}) receives
-    queue-residency instruments under scope ["txq.<node>.port<i>"]: a
-    [sojourn_ns] high-water gauge plus [sojourn_total_ns] /
-    [sojourn_samples] counters, measured enqueue to
+    The metrics registry receives queue-residency instruments under scope
+    ["txq.<node>.port<i>"]: a [sojourn_ns] high-water gauge plus
+    [sojourn_total_ns] / [sojourn_samples] counters, measured enqueue to
     serialization-complete for every packet.  They double as an
     INT-independent cross-check of stamped hop latency (see
     {!Dcpkt.Int_meta}); the queue also closes the packet's open INT hop

@@ -1,8 +1,8 @@
 (** The ambient observability context.
 
-    Simulator components pick up their metrics registry and tracer from
-    here at construction time (overridable per component via [?metrics] /
-    [?tracer] arguments).  Drivers — the experiment CLI, the bench, tests —
+    Simulator components pick up their metrics registry, tracer and pcap
+    sink from here at construction time; no component takes a per-instance
+    override.  Drivers — the experiment CLI, the bench, tests —
     configure the ambient context *before* building a topology, which is
     how experiments opt into tracing without code changes:
 

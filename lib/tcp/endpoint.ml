@@ -112,7 +112,7 @@ let data_start = 1 (* client ISS = 0; SYN consumes one sequence number *)
    site.) *)
 let unset_action () = ()
 
-let create ?tracer engine config ~key ~out ~is_client =
+let create engine config ~key ~out ~is_client =
   {
     engine;
     config;
@@ -121,7 +121,7 @@ let create ?tracer engine config ~key ~out ~is_client =
     is_client;
     algo = config.cc ();
     rto = Rto.create ~min_rto:config.min_rto ();
-    tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
+    tracer = Obs.Runtime.tracer ();
     attrib = Obs.Runtime.attrib ();
     state = (if is_client then Closed else Listen);
     snd_una = 0;
@@ -164,11 +164,9 @@ let create ?tracer engine config ~key ~out ~is_client =
     bytes_hook = (fun _ _ -> ());
   }
 
-let create_client ?tracer engine config ~key ~out =
-  create ?tracer engine config ~key ~out ~is_client:true
+let create_client engine config ~key ~out = create engine config ~key ~out ~is_client:true
 
-let create_server ?tracer engine config ~key ~out =
-  create ?tracer engine config ~key ~out ~is_client:false
+let create_server engine config ~key ~out = create engine config ~key ~out ~is_client:false
 
 let on_established t f = t.established_cb <- f
 

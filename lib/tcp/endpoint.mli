@@ -49,19 +49,16 @@ val misbehaving : config -> config
     policing stands between it and the switch buffers. *)
 
 val create_client :
-  ?tracer:Obs.Trace.t ->
   Eventsim.Engine.t ->
   config ->
   key:Dcpkt.Flow_key.t ->
   out:(Dcpkt.Packet.t -> unit) ->
   t
 (** [key] is the client-to-server direction. [out] hands packets to the
-    host's egress path.  [tracer] (default: the ambient
-    {!Obs.Runtime.tracer} at creation time) receives dupack and RTO
-    events. *)
+    host's egress path.  The ambient {!Obs.Runtime.tracer} at creation
+    time receives dupack and RTO events. *)
 
 val create_server :
-  ?tracer:Obs.Trace.t ->
   Eventsim.Engine.t ->
   config ->
   key:Dcpkt.Flow_key.t ->

@@ -20,15 +20,13 @@ type t = {
   m_ingress_drops : Obs.Metrics.counter;
 }
 
-let create ?metrics ?(name = "vswitch") ?(clock = fun () -> Eventsim.Time_ns.zero) ?tracer ()
-    =
-  let registry = match metrics with Some m -> m | None -> Obs.Runtime.metrics () in
-  let scope = Obs.Metrics.scope registry "vswitch" in
+let create ?(name = "vswitch") ?(clock = fun () -> Eventsim.Time_ns.zero) () =
+  let scope = Obs.Metrics.scope (Obs.Runtime.metrics ()) "vswitch" in
   {
     processors = [];
     name;
     clock;
-    tracer = (match tracer with Some t -> t | None -> Obs.Runtime.tracer ());
+    tracer = Obs.Runtime.tracer ();
     m_egress_packets = Obs.Metrics.scope_counter scope "egress_packets";
     m_ingress_packets = Obs.Metrics.scope_counter scope "ingress_packets";
     m_egress_drops = Obs.Metrics.scope_counter scope "egress_drops";

@@ -24,19 +24,13 @@ val no_op : string -> processor
 
 type t
 
-val create :
-  ?metrics:Obs.Metrics.t ->
-  ?name:string ->
-  ?clock:(unit -> Eventsim.Time_ns.t) ->
-  ?tracer:Obs.Trace.t ->
-  unit ->
-  t
-(** Counters register under [vswitch.*] in [metrics] (default: the ambient
-    {!Obs.Runtime.metrics}); per-host datapaths therefore sum into one
+val create : ?name:string -> ?clock:(unit -> Eventsim.Time_ns.t) -> unit -> t
+(** Counters register under [vswitch.*] in the ambient
+    {!Obs.Runtime.metrics}; per-host datapaths therefore sum into one
     aggregate view while each instance keeps exact private values.
 
-    A processor [Drop] verdict emits a [Vswitch_drop] trace event on
-    [tracer] (default: the ambient tracer) labelled [name], timestamped by
+    A processor [Drop] verdict emits a [Vswitch_drop] trace event on the
+    ambient tracer (read at creation time) labelled [name], timestamped by
     [clock] (the host passes the engine's; the default reads zero). *)
 
 val add_processor : t -> processor -> unit

@@ -1,6 +1,5 @@
 module Engine = Eventsim.Engine
 module Time_ns = Eventsim.Time_ns
-module Event_heap = Eventsim.Event_heap
 module Timing_wheel = Eventsim.Timing_wheel
 module Rng = Eventsim.Rng
 
@@ -328,6 +327,23 @@ let test_timer_fires_once () =
   check_bool "spent" false (Engine.timer_pending timer);
   Engine.cancel timer (* no-op after firing *)
 
+(* Regression: [timer_after] used to skip the past-time check, so on an
+   engine whose clock [run ~until] had parked at 100 with an empty queue, a
+   negative delay fired at clock 50 — time ran backwards. *)
+let test_timer_negative_delay_rejected () =
+  let engine = Engine.create () in
+  Engine.run ~until:100 engine;
+  let raised =
+    try
+      ignore (Engine.timer_after engine ~delay:(-50) (fun () -> ()));
+      false
+    with Invalid_argument _ -> true
+  in
+  check_bool "negative timer delay raises" true raised;
+  check_int "nothing queued" 0 (Engine.pending_events engine);
+  Engine.run engine;
+  check_int "clock never moved backwards" 100 (Engine.now engine)
+
 let test_step () =
   let engine = Engine.create () in
   Engine.schedule engine ~at:1 (fun () -> ());
@@ -337,10 +353,66 @@ let test_step () =
   check_bool "exhausted" false (Engine.step engine)
 
 (* ------------------------------------------------------------------ *)
-(* Differential engine harness: heap vs wheel                          *)
+(* Differential engine harness: engine vs reference engine             *)
 
-(* A script is interpreted identically against a heap-backed and a
-   wheel-backed engine; the trace of observable effects — which ops fired,
+(* The reference engine: the determinism contract written as plainly as
+   possible on top of the binary-heap oracle — closures, timers whose
+   liveness rides in the handle, and the [run ~until] boundary rule (events
+   at exactly [until] fire; the clock ends at [until]). *)
+module Ref_engine = struct
+  type t = { mutable clock : int; queue : (unit -> unit) Event_heap.t; mutable fired : int }
+  type timer = { mutable live : bool }
+
+  let create () = { clock = 0; queue = Event_heap.create (); fired = 0 }
+  let now t = t.clock
+  let schedule_after t ~delay f = Event_heap.push t.queue ~time:(t.clock + delay) f
+
+  let timer_after t ~delay action =
+    let timer = { live = true } in
+    schedule_after t ~delay (fun () ->
+        if timer.live then begin
+          timer.live <- false;
+          action ()
+        end);
+    timer
+
+  let cancel timer = timer.live <- false
+  let pending_events t = Event_heap.length t.queue
+  let events_processed t = t.fired
+
+  let rec drain t pop =
+    match pop t.queue with
+    | None -> ()
+    | Some (at, f) ->
+      t.clock <- at;
+      t.fired <- t.fired + 1;
+      f ();
+      drain t pop
+
+  let run ?until t =
+    match until with
+    | None -> drain t Event_heap.pop
+    | Some limit ->
+      drain t (Event_heap.pop_until ~limit);
+      t.clock <- max t.clock limit
+end
+
+module type ENGINE = sig
+  type t
+  type timer
+
+  val create : unit -> t
+  val now : t -> int
+  val schedule_after : t -> delay:int -> (unit -> unit) -> unit
+  val timer_after : t -> delay:int -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val run : ?until:int -> t -> unit
+  val pending_events : t -> int
+  val events_processed : t -> int
+end
+
+(* A script is interpreted identically against the engine and the
+   reference engine; the trace of observable effects — which ops fired,
    at what clock reading, plus clock/pending checkpoints after every
    [Run_for] — must match exactly.  Same-instant bursts probe FIFO
    tie-breaks, [Far] probes the overflow path, [Cancel_refire] probes
@@ -356,10 +428,10 @@ type script_op =
   | Nested of int * int (* outer delay, inner delay scheduled on fire *)
   | Run_for of int
 
-let interpret backend script =
-  let engine = Engine.create ~backend () in
+let interpret (type e) (module E : ENGINE with type t = e) script =
+  let engine = E.create () in
   let log = ref [] in
-  let emit tag = log := (tag, Engine.now engine) :: !log in
+  let emit tag = log := (tag, E.now engine) :: !log in
   let timers = ref [||] in
   let add_timer tmr = timers := Array.append !timers [| tmr |] in
   let nth_timer n =
@@ -368,29 +440,28 @@ let interpret backend script =
   List.iteri
     (fun i op ->
       match op with
-      | Sched d -> Engine.schedule_after engine ~delay:d (fun () -> emit (i, 0))
+      | Sched d -> E.schedule_after engine ~delay:d (fun () -> emit (i, 0))
       | Burst (d, n) ->
         for j = 0 to (n - 1) land 7 do
-          Engine.schedule_after engine ~delay:d (fun () -> emit (i, j))
+          E.schedule_after engine ~delay:d (fun () -> emit (i, j))
         done
-      | Timer_op d -> add_timer (Engine.timer_after engine ~delay:d (fun () -> emit (i, 0)))
+      | Timer_op d -> add_timer (E.timer_after engine ~delay:d (fun () -> emit (i, 0)))
       | Cancel_nth n -> (
-        match nth_timer n with Some t -> Engine.cancel t | None -> ())
+        match nth_timer n with Some t -> E.cancel t | None -> ())
       | Cancel_refire (n, d) ->
-        (match nth_timer n with Some t -> Engine.cancel t | None -> ());
-        add_timer (Engine.timer_after engine ~delay:d (fun () -> emit (i, 1)))
-      | Far d ->
-        Engine.schedule_after engine ~delay:(horizon + d) (fun () -> emit (i, 0))
+        (match nth_timer n with Some t -> E.cancel t | None -> ());
+        add_timer (E.timer_after engine ~delay:d (fun () -> emit (i, 1)))
+      | Far d -> E.schedule_after engine ~delay:(horizon + d) (fun () -> emit (i, 0))
       | Nested (d1, d2) ->
-        Engine.schedule_after engine ~delay:d1 (fun () ->
+        E.schedule_after engine ~delay:d1 (fun () ->
             emit (i, 0);
-            Engine.schedule_after engine ~delay:d2 (fun () -> emit (i, 1)))
+            E.schedule_after engine ~delay:d2 (fun () -> emit (i, 1)))
       | Run_for d ->
-        Engine.run ~until:(Time_ns.add (Engine.now engine) d) engine;
-        emit (-1 - i, Engine.pending_events engine))
+        E.run ~until:(E.now engine + d) engine;
+        emit (-1 - i, E.pending_events engine))
     script;
-  Engine.run engine;
-  (List.rev !log, Engine.now engine, Engine.events_processed engine)
+  E.run engine;
+  (List.rev !log, E.now engine, E.events_processed engine)
 
 let script_gen =
   QCheck.(
@@ -408,16 +479,17 @@ let script_gen =
            map (fun d -> Run_for d) (int_bound 20_000);
          ]))
 
+(* The heap-backed reference engine against the wheel-backed engine. *)
 let prop_engines_identical =
   QCheck.Test.make ~name:"heap and wheel engines fire identically" ~count:1000 script_gen
     (fun script ->
-      interpret Engine.Heap script = interpret Engine.Wheel script)
+      interpret (module Ref_engine) script = interpret (module Engine) script)
 
 (* ------------------------------------------------------------------ *)
 (* run ~until boundary (regression: events exactly at the limit fire)  *)
 
-let test_run_until_boundary backend () =
-  let engine = Engine.create ~backend () in
+let test_run_until_boundary () =
+  let engine = Engine.create () in
   let fired = ref [] in
   List.iter
     (fun t -> Engine.schedule engine ~at:t (fun () -> fired := t :: !fired))
@@ -439,8 +511,8 @@ let test_run_until_boundary backend () =
 (* ------------------------------------------------------------------ *)
 (* Stress: 1M timers, half cancelled, pools reclaimed                  *)
 
-let test_timer_stress backend () =
-  let engine = Engine.create ~backend () in
+let test_timer_stress () =
+  let engine = Engine.create () in
   let rng = Rng.create ~seed:1234 in
   let n = 1_000_000 in
   let fired = ref 0 in
@@ -619,14 +691,10 @@ let () =
           Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
           Alcotest.test_case "timer fires once" `Quick test_timer_fires_once;
           Alcotest.test_case "step" `Quick test_step;
-          Alcotest.test_case "until boundary (wheel)" `Quick
-            (test_run_until_boundary Engine.Wheel);
-          Alcotest.test_case "until boundary (heap)" `Quick
-            (test_run_until_boundary Engine.Heap);
-          Alcotest.test_case "1M timers stress (wheel)" `Quick
-            (test_timer_stress Engine.Wheel);
-          Alcotest.test_case "1M timers stress (heap)" `Quick
-            (test_timer_stress Engine.Heap);
+          Alcotest.test_case "timer rejects negative delay" `Quick
+            test_timer_negative_delay_rejected;
+          Alcotest.test_case "until boundary (wheel)" `Quick test_run_until_boundary;
+          Alcotest.test_case "1M timers stress (wheel)" `Quick test_timer_stress;
         ] );
       ( "rng",
         [

@@ -655,50 +655,6 @@ let test_int_trace_deterministic () =
      scan 0);
   check_bool "byte-identical across runs" true (String.equal a b)
 
-(* Tentpole acceptance: the bench smoke scenario — seeded AC/DC dumbbell
-   with goodput measurement and an acdc-report/1 rendering — must be
-   byte-identical under the heap and wheel schedulers: report JSON, trace
-   JSONL, and pcapng bytes.  The wheel may only be faster, never
-   different. *)
-let test_scheduler_byte_identity () =
-  let one_run backend =
-    Dcpkt.Packet.reset_ids ();
-    Experiments.Harness.reset_run_metrics ();
-    let saved = Engine.default_backend () in
-    Engine.set_default_backend backend;
-    let trace_buf = Buffer.create 65536 and pcap_buf = Buffer.create 65536 in
-    Obs.Runtime.set_tracer (Obs.Trace.jsonl ~write:(Buffer.add_string trace_buf));
-    Obs.Runtime.set_pcap
-      (Obs.Pcap.create ~format:Obs.Pcap.Pcapng ~write:(Buffer.add_string pcap_buf));
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.set_default_backend saved;
-        Obs.Runtime.set_tracer Obs.Trace.null;
-        Obs.Runtime.set_pcap Obs.Pcap.null)
-    @@ fun () ->
-    let scheme = Experiments.Harness.acdc () in
-    let net = Experiments.Harness.dumbbell scheme ~pairs:2 () in
-    let conns = Experiments.Harness.long_lived_pairs net scheme ~pairs:2 in
-    let goodputs =
-      Experiments.Harness.measure_goodput net conns ~warmup:(Time_ns.ms 10)
-        ~duration:(Time_ns.ms 40)
-    in
-    Topology.shutdown net;
-    let report =
-      Experiments.Harness.report_of_run ~id:"sched-identity" ~scheme ~goodputs ()
-    in
-    ( Obs.Json.to_string (Obs.Report.to_json report),
-      Buffer.contents trace_buf,
-      Buffer.contents pcap_buf )
-  in
-  let rh, th, ph = one_run Engine.Heap in
-  let rw, tw, pw = one_run Engine.Wheel in
-  check_bool "trace is non-trivial" true (String.length th > 10_000);
-  check_bool "pcap is non-trivial" true (String.length ph > 1_000);
-  check_bool "acdc-report/1 JSON identical" true (String.equal rh rw);
-  check_bool "trace JSONL identical" true (String.equal th tw);
-  check_bool "pcap bytes identical" true (String.equal ph pw)
-
 let () =
   Alcotest.run "integration"
     [
@@ -734,10 +690,6 @@ let () =
             test_int_attribution_matches_txq;
           Alcotest.test_case "int option space exceeded" `Quick test_int_option_space_exceeded;
           Alcotest.test_case "int trace deterministic" `Quick test_int_trace_deterministic;
-        ] );
-      ( "schedulers",
-        [
-          Alcotest.test_case "heap/wheel byte identity" `Quick test_scheduler_byte_identity;
         ] );
       ( "topologies",
         [

@@ -356,10 +356,9 @@ module Impair = Netsim.Impair
 
 let run_impaired ~seed ~config ~n =
   let engine = Engine.create () in
-  let metrics = Obs.Metrics.create () in
   let arrivals = ref [] in
   let imp =
-    Impair.create ~metrics engine ~rng:(Eventsim.Rng.create ~seed) ~config
+    Impair.create engine ~rng:(Eventsim.Rng.create ~seed) ~config
       ~deliver:(fun p -> arrivals := (Engine.now engine, p.Packet.id) :: !arrivals)
       ()
   in
@@ -373,8 +372,7 @@ let test_impair_clean_is_identity () =
   let deliver _ = () in
   let engine = Engine.create () in
   let wrapped =
-    Impair.wrap ~metrics:(Obs.Metrics.create ()) engine
-      ~rng:(Eventsim.Rng.create ~seed:1) ~config:Impair.clean deliver
+    Impair.wrap engine ~rng:(Eventsim.Rng.create ~seed:1) ~config:Impair.clean deliver
   in
   (* A clean config must not even interpose: zero hot-path cost. *)
   check_bool "same closure" true (wrapped == deliver)
@@ -409,10 +407,9 @@ let test_impair_corrupt_drops () =
 
 let test_impair_strip_pack () =
   let engine = Engine.create () in
-  let metrics = Obs.Metrics.create () in
   let with_pack = ref 0 and total = ref 0 in
   let imp =
-    Impair.create ~metrics engine
+    Impair.create engine
       ~rng:(Eventsim.Rng.create ~seed:5)
       ~config:{ Impair.clean with strip_pack = 0.5 }
       ~deliver:(fun p ->
