@@ -58,6 +58,10 @@ type t = {
           to trigger its fast retransmit — §3.3's remedy for tenant stacks
           with RTOs far above the fabric's RTT. *)
   policy : Dcpkt.Flow_key.t -> policy;
+      (** Keyed by the data direction's 5-tuple.  Must be a pure function
+          of the key: the sender module reads it once per flow, and the
+          receiver module's ACK path asks it only about flows it already
+          tracks. *)
 }
 
 val default : mss:int -> t

@@ -2,6 +2,7 @@ module Packet = Dcpkt.Packet
 module Flow_key = Dcpkt.Flow_key
 
 type flow = {
+  key : Flow_key.t; (* data direction *)
   mutable total_bytes : int;
   mutable marked_bytes : int;
   mutable vm_ect : bool; (* data sender's VM is ECN-capable *)
@@ -29,13 +30,15 @@ let create engine config =
     m_facks_sent = Obs.Metrics.scope_counter scope "facks_sent";
   }
 
-let fresh_flow () = { total_bytes = 0; marked_bytes = 0; vm_ect = false }
+let fresh_flow key () = { key; total_bytes = 0; marked_bytes = 0; vm_ect = false }
 
 (* Data direction: packets we receive. *)
 let ingress t (pkt : Packet.t) ~inject:_ =
   if not (enforced t pkt.Packet.key) then Vswitch.Datapath.Pass
   else if pkt.Packet.syn && not pkt.Packet.has_ack then begin
-    ignore (Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:fresh_flow);
+    ignore
+      (Vswitch.Flow_table.find_or_create t.table pkt.Packet.key
+         ~make:(fresh_flow pkt.Packet.key));
     Vswitch.Datapath.Pass
   end
   else begin
@@ -45,7 +48,9 @@ let ingress t (pkt : Packet.t) ~inject:_ =
       | None ->
         (* Mid-stream attachment: start tracking on first data packet. *)
         if pkt.Packet.payload > 0 then
-          Some (Vswitch.Flow_table.find_or_create t.table pkt.Packet.key ~make:fresh_flow)
+          Some
+            (Vswitch.Flow_table.find_or_create t.table pkt.Packet.key
+               ~make:(fresh_flow pkt.Packet.key))
         else None
     in
     match tracked with
@@ -68,16 +73,24 @@ let ingress t (pkt : Packet.t) ~inject:_ =
       Vswitch.Datapath.Pass
   end
 
-let owns_egress t (pkt : Packet.t) =
-  Vswitch.Flow_table.find t.table (Flow_key.reverse pkt.Packet.key) <> None
+let trace_attach t flow (carrier : Packet.t) =
+  if Obs.Trace.enabled t.tracer then
+    Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
+      (Obs.Trace.Pack_attach
+         {
+           flow = flow.key;
+           pkt = carrier.Packet.id;
+           total = flow.total_bytes;
+           marked = flow.marked_bytes;
+         })
 
-(* ACK direction: packets our VM sends back to the data sender. *)
+(* ACK direction: packets our VM sends back to the data sender.  Entries
+   exist only for flows [ingress] found enforced, so the lookup comes
+   first and the policy is asked about the stored data-direction key. *)
 let egress t (pkt : Packet.t) ~inject =
-  let data_key = Flow_key.reverse pkt.Packet.key in
-  if not (enforced t data_key) then Vswitch.Datapath.Pass
-  else
-  match Vswitch.Flow_table.find t.table data_key with
+  match Vswitch.Flow_table.find_reverse t.table pkt.Packet.key with
   | None -> Vswitch.Datapath.Pass
+  | Some flow when not (enforced t flow.key) -> Vswitch.Datapath.Pass
   | Some flow ->
     if pkt.Packet.has_ack && not pkt.Packet.syn then begin
       let pack =
@@ -88,21 +101,10 @@ let egress t (pkt : Packet.t) ~inject =
         && Packet.wire_size pkt + 8 <= t.config.Config.mtu + 54
         (* 54 = simulator link-layer framing; the MTU bounds IP payload *)
       in
-      let trace_attach (carrier : Packet.t) =
-        if Obs.Trace.enabled t.tracer then
-          Obs.Trace.emit t.tracer ~now:(Eventsim.Engine.now t.engine)
-            (Obs.Trace.Pack_attach
-               {
-                 flow = data_key;
-                 pkt = carrier.Packet.id;
-                 total = flow.total_bytes;
-                 marked = flow.marked_bytes;
-               })
-      in
       if fits then begin
         Packet.set_option pkt pack;
         Obs.Metrics.incr t.m_packs_sent;
-        trace_attach pkt
+        trace_attach t flow pkt
       end
       else begin
         (* TSO would smear an oversized PACK across segments, corrupting
@@ -114,10 +116,10 @@ let egress t (pkt : Packet.t) ~inject =
             (Obs.Trace.created ~kind:"fack"
                ~node:(Printf.sprintf "host%d" pkt.Packet.key.Flow_key.src_ip)
                fack);
-        trace_attach fack;
+        trace_attach t flow fack;
         inject fack
       end;
-      if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table data_key
+      if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table flow.key
     end;
     Vswitch.Datapath.Pass
 

@@ -23,8 +23,6 @@ val egress :
   t -> Dcpkt.Packet.t -> inject:(Dcpkt.Packet.t -> unit) -> Vswitch.Datapath.verdict
 (** Handle ACKs the local VM is sending back to the data sender. *)
 
-val owns_egress : t -> Dcpkt.Packet.t -> bool
-
 val tracked_flows : t -> int
 val packs_sent : t -> int
 val facks_sent : t -> int

@@ -219,7 +219,7 @@ let force_ect flow (pkt : Packet.t) =
    *receiver* — never create sender-side state. *)
 let egress_flow t (pkt : Packet.t) =
   match Vswitch.Flow_table.find t.table pkt.Packet.key with
-  | Some flow -> Some flow
+  | Some _ as found -> found
   | None ->
     if (pkt.Packet.syn && not pkt.Packet.has_ack) || pkt.Packet.payload > 0 then begin
       Log.debug (fun m -> m "flow %a: tracking started" Flow_key.pp pkt.Packet.key);
@@ -324,8 +324,8 @@ let update_alpha t flow =
   flow.window_end <- flow.snd_nxt;
   flow.cut_this_window <- false
 
-(* Consume the cumulative PACK counters; returns bytes newly reported as
-   received / as CE-marked. *)
+(* Consume the cumulative PACK counters; returns whether any newly
+   reported bytes were CE-marked. *)
 let absorb_feedback flow ~total ~marked =
   let d_total = Stdlib.max 0 (total - flow.last_total) in
   let d_marked = Stdlib.max 0 (marked - flow.last_marked) in
@@ -334,6 +334,14 @@ let absorb_feedback flow ~total ~marked =
   flow.win_total <- flow.win_total + d_total;
   flow.win_marked <- flow.win_marked + d_marked;
   d_marked > 0
+
+(* [absorb_feedback] on the first PACK option of an ACK, if any; read in
+   place because [Packet.pack_info] boxes its pair on every ACK. *)
+let rec absorb_pack flow = function
+  | [] -> false
+  | Packet.Pack { total_bytes; marked_bytes } :: _ ->
+    absorb_feedback flow ~total:total_bytes ~marked:marked_bytes
+  | (Packet.Mss _ | Packet.Window_scale _ | Packet.Sack _) :: rest -> absorb_pack flow rest
 
 let process_feedback t flow ~acked ~congested ~loss ~rtt =
   ignore rtt;
@@ -407,11 +415,7 @@ let rewrite_rwnd t flow (pkt : Packet.t) =
   end
 
 let handle_ack t flow (pkt : Packet.t) =
-  let congested =
-    match Packet.pack_info pkt with
-    | Some (total, marked) -> absorb_feedback flow ~total ~marked
-    | None -> false
-  in
+  let congested = absorb_pack flow pkt.Packet.options in
   let rtt_sample =
     if flow.probe_seq >= 0 && pkt.Packet.ack >= flow.probe_seq then begin
       let sample = Time_ns.diff (Engine.now t.engine) flow.probe_time in
@@ -451,12 +455,8 @@ let handle_ack t flow (pkt : Packet.t) =
   let loss = flow.dupacks = 3 in
   process_feedback t flow ~acked ~congested ~loss ~rtt:rtt_sample
 
-let owns_ingress t (pkt : Packet.t) =
-  Vswitch.Flow_table.find t.table (Flow_key.reverse pkt.Packet.key) <> None
-
 let ingress t (pkt : Packet.t) ~inject:_ =
-  let data_key = Flow_key.reverse pkt.Packet.key in
-  match Vswitch.Flow_table.find t.table data_key with
+  match Vswitch.Flow_table.find_reverse t.table pkt.Packet.key with
   | None -> Vswitch.Datapath.Pass
   | Some flow ->
     if pkt.Packet.syn then begin
@@ -468,16 +468,16 @@ let ingress t (pkt : Packet.t) ~inject:_ =
         flow.snd_una <- pkt.Packet.ack;
       Vswitch.Datapath.Pass
     end
-    else if Packet.pack_info pkt <> None && not pkt.Packet.has_ack then begin
-      (* Dedicated FACK: log the feedback and discard (§3.2). *)
-      (match Packet.pack_info pkt with
+    else if not pkt.Packet.has_ack then begin
+      match Packet.pack_info pkt with
       | Some (total, marked) ->
+        (* Dedicated FACK: log the feedback and discard (§3.2). *)
         let congested = absorb_feedback flow ~total ~marked in
-        process_feedback t flow ~acked:0 ~congested ~loss:false ~rtt:None
-      | None -> ());
-      Vswitch.Datapath.Drop
+        process_feedback t flow ~acked:0 ~congested ~loss:false ~rtt:None;
+        Vswitch.Datapath.Drop
+      | None -> Vswitch.Datapath.Pass
     end
-    else if pkt.Packet.has_ack then begin
+    else begin
       handle_ack t flow pkt;
       rewrite_rwnd t flow pkt;
       Packet.remove_pack pkt;
@@ -485,10 +485,9 @@ let ingress t (pkt : Packet.t) ~inject:_ =
          AC/DC is fully passive, and exempt flows keep their feedback. *)
       if (not t.config.Config.log_only) && flow.policy.Config.enforce then
         pkt.Packet.ece <- false;
-      if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table data_key;
+      if pkt.Packet.fin then Vswitch.Flow_table.mark_closed t.table flow.key;
       Vswitch.Datapath.Pass
     end
-    else Vswitch.Datapath.Pass
 
 (* ------------------------------------------------------------------ *)
 (* Window updates injected toward the VM                               *)

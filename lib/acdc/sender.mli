@@ -24,9 +24,6 @@ val ingress :
   t -> Dcpkt.Packet.t -> inject:(Dcpkt.Packet.t -> unit) -> Vswitch.Datapath.verdict
 (** Handle a packet from the network whose reverse flow we track (ACKs). *)
 
-val owns_ingress : t -> Dcpkt.Packet.t -> bool
-(** Does this packet belong to a connection whose data sender is local? *)
-
 (** {2 Observability} *)
 
 val flow_window : t -> Dcpkt.Flow_key.t -> int option

@@ -12,10 +12,19 @@
     time [<= until] — an event scheduled {e exactly at} [until] fires, it
     does not stay queued — and leaves the clock at [until] with strictly
     later events still pending.  The queue is the hierarchical
-    {!Timing_wheel} (O(1) amortized, pooled cells, allocation-free hot
-    path).  The differential harness in [test/test_eventsim.ml] holds
-    this engine to the contract against a small reference engine built
-    on a binary heap that lives only in the test tree. *)
+    {!Timing_wheel} (O(1) amortized, pooled cells).  The differential
+    harness in [test/test_eventsim.ml] holds this engine to the contract
+    against a small reference engine built on a binary heap that lives
+    only in the test tree.
+
+    {2 Allocation}
+
+    Event records are pooled too, so dispatch and {!schedule_static}
+    allocate nothing once the pools have grown to the peak number of
+    pending events; [test/test_alloc.ml] holds [schedule_static_after]
+    plus [run] under one minor word per event.  What does allocate is
+    the caller's: the closure passed to {!schedule}, and the handle
+    {!timer_after} returns. *)
 
 type t
 

@@ -126,11 +126,13 @@ let alloc t ~time ~seq value =
   end
 
 (* Level of a timestamp relative to the current position: lowest [l] with
-   [time lxor cur < 32^(l+1)].  Caller has excluded the overflow case. *)
-let level_of t time =
-  let x = time lxor t.cur in
-  let rec go l = if x < 1 lsl (bits * (l + 1)) then l else go (l + 1) in
-  go 0
+   [time lxor cur < 32^(l+1)].  Caller has excluded the overflow case.
+   The scans here and in [lowest_level] are top-level functions: a local
+   [let rec] capturing a variable is a heap closure per call without
+   flambda, and these run on every push, cascade and level-0 miss. *)
+let rec level_from x l = if x < 1 lsl (bits * (l + 1)) then l else level_from x (l + 1)
+
+let level_of t time = level_from (time lxor t.cur) 0
 
 let append_overflow t c =
   if t.ov_head == t.nil then t.ov_head <- c else t.ov_tail.c_next <- c;
@@ -189,9 +191,10 @@ let cascade t l =
   done
 
 (* Lowest nonempty level, or [levels] when all wheels are empty. *)
-let lowest_level t =
-  let rec go l = if l >= levels then l else if t.bitmaps.(l) <> 0 then l else go (l + 1) in
-  go 0
+let rec nonempty_from bitmaps l =
+  if l >= levels then l else if bitmaps.(l) <> 0 then l else nonempty_from bitmaps (l + 1)
+
+let lowest_level t = nonempty_from t.bitmaps 0
 
 let overflow_min t =
   let m = ref max_int in

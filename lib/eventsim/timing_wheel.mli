@@ -16,9 +16,11 @@
     test-side binary-heap oracle with identical randomized scripts.
 
     Cells are pooled: popping returns a cell to an internal free list and
-    pushing reuses it, so a steady-state simulation allocates nothing per
-    event.  [pop_or]/[pop_until_or] expose the allocation-free extraction
-    path (no [Some] / tuple per pop) used by {!Engine}.
+    pushing reuses it, so once the pool has grown to the peak population
+    [push], [pop_or] and [pop_until_or] allocate nothing, cascades
+    included ([test/test_alloc.ml] checks it).  [pop], [pop_until] and
+    [peek_time] return options and allocate them; [pop_or]/[pop_until_or]
+    are the extraction path {!Engine} uses.
 
     Unlike the heap, extraction is monotonic: [push] requires [time] to be
     no earlier than the last popped time (the wheel's position).  The

@@ -8,7 +8,10 @@ type t = {
   engine : Engine.t;
   datapath : Vswitch.Datapath.t;
   acdc : Acdc.t option;
-  endpoints : Tcp.Endpoint.t Flow_key.Table.t; (* keyed by the emitting direction *)
+  (* Keyed by the direction each endpoint receives (its own key reversed
+     once at registration), so demux looks up the arriving packet's key
+     as is. *)
+  endpoints : Tcp.Endpoint.t Flow_key.Table.t;
   tracer : Obs.Trace.t;
   pcap : Obs.Pcap.t;
   vm_iface : string;
@@ -30,13 +33,13 @@ let vm_tap t pkt =
 
 let demux t (pkt : Packet.t) =
   vm_tap t pkt;
-  match Flow_key.Table.find_opt t.endpoints (Flow_key.reverse pkt.Packet.key) with
-  | Some endpoint ->
+  match Flow_key.Table.find t.endpoints pkt.Packet.key with
+  | endpoint ->
     if Obs.Trace.enabled t.tracer then
       Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
         (Obs.Trace.Delivered { node = t.name; pkt = pkt.Packet.id });
     Tcp.Endpoint.input endpoint pkt
-  | None ->
+  | exception Not_found ->
     t.no_route_drops <- t.no_route_drops + 1;
     if Obs.Trace.enabled t.tracer then
       Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
@@ -140,10 +143,10 @@ let deliver t pkt =
   Vswitch.Datapath.process_ingress t.datapath pkt ~deliver:t.demux_fn
 
 let register_endpoint t endpoint =
-  Flow_key.Table.replace t.endpoints (Tcp.Endpoint.key endpoint) endpoint
+  Flow_key.Table.replace t.endpoints (Flow_key.reverse (Tcp.Endpoint.key endpoint)) endpoint
 
 let unregister_endpoint t endpoint =
-  Flow_key.Table.remove t.endpoints (Tcp.Endpoint.key endpoint)
+  Flow_key.Table.remove t.endpoints (Flow_key.reverse (Tcp.Endpoint.key endpoint))
 
 let fresh_port t =
   let port = t.next_port in

@@ -23,7 +23,8 @@ val deliver : t -> Dcpkt.Packet.t -> unit
     are counted and discarded. *)
 
 val register_endpoint : t -> Tcp.Endpoint.t -> unit
-(** Index the endpoint under the flow key it emits. *)
+(** Index the endpoint under the key of the packets it receives (its own
+    key reversed once, here), which is what [deliver]'s demux looks up. *)
 
 val unregister_endpoint : t -> Tcp.Endpoint.t -> unit
 val fresh_port : t -> int

@@ -135,9 +135,13 @@ let dynamic_threshold t =
      alpha times the unused share of the buffer pool. *)
   int_of_float (t.dt_alpha *. float_of_int (t.buffer_capacity - t.buffer_used))
 
-let drop t port_opt (pkt : Packet.t) ~port_idx ~reason =
+(* [port_idx] is -1 when no route matched. *)
+let drop t (pkt : Packet.t) ~port_idx ~reason =
   Metrics.incr t.m_drops;
-  (match port_opt with None -> () | Some p -> p.drops <- p.drops + 1);
+  if port_idx >= 0 then begin
+    let p = t.ports.(port_idx) in
+    p.drops <- p.drops + 1
+  end;
   if Trace.enabled t.tracer then
     Trace.emit t.tracer ~now:(Engine.now t.engine)
       (Trace.Drop
@@ -151,9 +155,9 @@ let drop t port_opt (pkt : Packet.t) ~port_idx ~reason =
 
 let input_unprofiled t pkt =
   Metrics.incr t.m_input;
-  match Hashtbl.find_opt t.routes pkt.Packet.key.dst_ip with
-  | None -> drop t None pkt ~port_idx:(-1) ~reason:Trace.No_route
-  | Some group ->
+  match Hashtbl.find t.routes pkt.Packet.key.dst_ip with
+  | exception Not_found -> drop t pkt ~port_idx:(-1) ~reason:Trace.No_route
+  | group ->
     (* ECMP: the same 5-tuple always hashes to the same member port, so a
        flow's packets stay in order. *)
     let idx =
@@ -164,9 +168,9 @@ let input_unprofiled t pkt =
     let size = Packet.wire_size pkt in
     let qbytes = Txq.queued_bytes port.txq in
     if t.buffer_used + size > t.buffer_capacity then
-      drop t (Some port) pkt ~port_idx:idx ~reason:Trace.Buffer_full
+      drop t pkt ~port_idx:idx ~reason:Trace.Buffer_full
     else if qbytes + size > dynamic_threshold t then
-      drop t (Some port) pkt ~port_idx:idx ~reason:Trace.Over_threshold
+      drop t pkt ~port_idx:idx ~reason:Trace.Over_threshold
     else begin
       let admitted =
         match t.ecn with
@@ -190,7 +194,7 @@ let input_unprofiled t pkt =
                 Eventsim.Rng.int t.rng ref_size < Stdlib.min ref_size size
             in
             if doomed then begin
-              drop t (Some port) pkt ~port_idx:idx ~reason:Trace.Wred;
+              drop t pkt ~port_idx:idx ~reason:Trace.Wred;
               Metrics.incr t.m_wred_drops
             end;
             not doomed
@@ -222,7 +226,7 @@ let input_unprofiled t pkt =
         Metrics.set_max t.g_buffer_max t.buffer_used;
         Metrics.incr t.m_forwarded_packets;
         Metrics.add t.m_forwarded_bytes size;
-        Txq.enqueue ~size port.txq pkt;
+        Txq.enqueue port.txq pkt;
         let q = Txq.queued_bytes port.txq in
         if q > port.max_queue then port.max_queue <- q
       end

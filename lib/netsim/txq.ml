@@ -242,8 +242,8 @@ and deliver_batch t () =
 and finish_h = lazy (Engine.handler finish)
 and deliver_batch_h = lazy (Engine.handler deliver_batch)
 
-let enqueue_unprofiled ?size t pkt =
-  let size = match size with Some s -> s | None -> Packet.wire_size pkt in
+let enqueue_unprofiled t pkt =
+  let size = Packet.wire_size pkt in
   t.queued_bytes <- t.queued_bytes + size;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
@@ -257,10 +257,10 @@ let enqueue_unprofiled ?size t pkt =
   t.q_len <- t.q_len + 1;
   if not t.busy then start_next t
 
-let enqueue ?size t pkt =
+let enqueue t pkt =
   if !Profcore.on then begin
     let tok = Profcore.enter Profcore.Site.txq_enqueue in
-    enqueue_unprofiled ?size t pkt;
+    enqueue_unprofiled t pkt;
     Profcore.leave tok
   end
-  else enqueue_unprofiled ?size t pkt
+  else enqueue_unprofiled t pkt

@@ -36,13 +36,13 @@ val create :
     {!Dcpkt.Int_meta}); the queue also closes the packet's open INT hop
     at serialization time, before the trace and capture taps fire. *)
 
-val enqueue : ?size:int -> t -> Dcpkt.Packet.t -> unit
-(** [size] (default: the packet's current {!Dcpkt.Packet.wire_size}) is the
-    byte count this packet occupies for the queue's entire accounting —
-    byte counters and the [on_tx_complete] callback see this exact value
-    even if an option rewrite changes the packet's size while it waits.
-    Admission control that charged a shared buffer must pass the charged
-    size here so the books provably re-balance. *)
+val enqueue : t -> Dcpkt.Packet.t -> unit
+(** The packet's {!Dcpkt.Packet.wire_size} at enqueue is the byte count it
+    occupies for the queue's entire accounting — byte counters and the
+    [on_tx_complete] callback see this exact value even if an option
+    rewrite changes the packet's size while it waits.  Admission control
+    that charges a shared buffer must charge this same size (the packet's
+    size when it calls [enqueue]) so the books provably re-balance. *)
 
 val set_on_tx_complete : t -> (Dcpkt.Packet.t -> size:int -> unit) -> unit
 (** Invoked when a packet finishes serializing (its buffer is freed);

@@ -113,24 +113,34 @@ let seq_end t =
 
 let is_ect t = match t.ecn with Not_ect -> false | Ect0 | Ect1 | Ce -> true
 
-let find_option t ~f =
-  let rec search = function
-    | [] -> None
-    | o :: rest -> ( match f o with Some _ as r -> r | None -> search rest)
-  in
-  search t.options
+(* The option-list walks below are top-level recursions rather than local
+   closures or [List.filter]: they run on every ACK, and a closure
+   capturing its argument is a heap block per call without flambda.  The
+   filters return the list itself when nothing is removed. *)
+let rec find_in f = function
+  | [] -> None
+  | o :: rest -> ( match f o with Some _ as r -> r | None -> find_in f rest)
+
+let find_option t ~f = find_in f t.options
 
 let same_constructor a b =
   match (a, b) with
   | Mss _, Mss _ | Window_scale _, Window_scale _ | Pack _, Pack _ | Sack _, Sack _ -> true
   | (Mss _ | Window_scale _ | Pack _ | Sack _), _ -> false
 
-let set_option t o =
-  t.options <- o :: List.filter (fun existing -> not (same_constructor existing o)) t.options
+let rec without_kind o l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let kept = without_kind o rest in
+    if same_constructor x o then kept else if kept == rest then l else x :: kept
 
-let remove_pack t =
-  t.options <-
-    List.filter (function Pack _ -> false | Mss _ | Window_scale _ | Sack _ -> true) t.options
+let set_option t o = t.options <- o :: without_kind o t.options
+
+(* [without_kind] compares constructors only, so any PACK names the kind. *)
+let pack_kind = Pack { total_bytes = 0; marked_bytes = 0 }
+
+let remove_pack t = t.options <- without_kind pack_kind t.options
 
 let wscale t =
   find_option t ~f:(function Window_scale s -> Some s | Mss _ | Pack _ | Sack _ -> None)
@@ -140,12 +150,12 @@ let pack_info t =
     | Pack { total_bytes; marked_bytes } -> Some (total_bytes, marked_bytes)
     | Mss _ | Window_scale _ | Sack _ -> None)
 
-let sack_blocks t =
-  match
-    find_option t ~f:(function Sack b -> Some b | Mss _ | Window_scale _ | Pack _ -> None)
-  with
-  | Some blocks -> blocks
-  | None -> []
+let rec sack_in = function
+  | [] -> []
+  | Sack blocks :: _ -> blocks
+  | (Mss _ | Window_scale _ | Pack _) :: rest -> sack_in rest
+
+let sack_blocks t = sack_in t.options
 
 (* ------------------------------------------------------------------ *)
 (* INT hop stack                                                       *)

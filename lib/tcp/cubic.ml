@@ -3,9 +3,10 @@ module Time_ns = Eventsim.Time_ns
 let c = 0.4
 let beta = 0.7
 
+(* All floats, so the record is stored flat and the per-ACK updates write
+   unboxed; the epoch start lives apart. *)
 type state = {
   mutable w_max : float; (* MSS units *)
-  mutable epoch_start : Time_ns.t option;
   mutable k : float; (* seconds *)
   mutable origin : float;
   mutable tcp_epoch_cwnd : float;
@@ -14,26 +15,20 @@ type state = {
 
 let make () =
   let s =
-    {
-      w_max = 0.0;
-      epoch_start = None;
-      k = 0.0;
-      origin = 0.0;
-      tcp_epoch_cwnd = 0.0;
-      acked_since_epoch = 0.0;
-    }
+    { w_max = 0.0; k = 0.0; origin = 0.0; tcp_epoch_cwnd = 0.0; acked_since_epoch = 0.0 }
   in
-  let reset_epoch () = s.epoch_start <- None in
+  let epoch_start = ref None in
+  let reset_epoch () = epoch_start := None in
   let on_ack view ~acked ~rtt:_ ~ce_marked:_ =
     let mss = float_of_int view.Cc.mss in
     let cwnd = view.Cc.get_cwnd () in
     if cwnd < view.Cc.get_ssthresh () then Cc.reno_increase view ~acked
     else begin
       let cwnd_mss = float_of_int cwnd /. mss in
-      (match s.epoch_start with
+      (match !epoch_start with
       | Some _ -> ()
       | None ->
-        s.epoch_start <- Some (view.Cc.now ());
+        epoch_start := Some (view.Cc.now ());
         if s.w_max > cwnd_mss then begin
           s.k <- Float.cbrt (s.w_max *. (1.0 -. beta) /. c);
           s.origin <- s.w_max
@@ -45,8 +40,11 @@ let make () =
         s.tcp_epoch_cwnd <- cwnd_mss;
         s.acked_since_epoch <- 0.0);
       s.acked_since_epoch <- s.acked_since_epoch +. (float_of_int acked /. mss);
-      let epoch_start = match s.epoch_start with Some t -> t | None -> assert false in
-      let t = Time_ns.to_sec (Time_ns.diff (view.Cc.now ()) epoch_start) in
+      let start = match !epoch_start with Some t -> t | None -> assert false in
+      (* [Time_ns.to_sec] written out: a float returned from another
+         library is boxed, and this runs on every ACK in congestion
+         avoidance. *)
+      let t = float_of_int (Time_ns.diff (view.Cc.now ()) start) /. 1e9 in
       let dt = t -. s.k in
       let target = s.origin +. (c *. dt *. dt *. dt) in
       (* Reno-friendliness: estimated window a standard AIMD flow with the

@@ -55,6 +55,7 @@ type t = {
   out : Packet.t -> unit;
   is_client : bool;
   algo : Cc.t;
+  view : Cc.view; (* this endpoint as [algo] sees it, built once *)
   rto : Rto.t;
   tracer : Obs.Trace.t;
   attrib : Obs.Attrib.t;
@@ -112,57 +113,78 @@ let data_start = 1 (* client ISS = 0; SYN consumes one sequence number *)
    site.) *)
 let unset_action () = ()
 
+let apply_cwnd t w =
+  let w = match t.config.max_cwnd with Some m -> Stdlib.min m w | None -> w in
+  if w <> t.cwnd then begin
+    t.cwnd <- w;
+    t.cwnd_hook (Engine.now t.engine) w
+  end
+
 let create engine config ~key ~out ~is_client =
-  {
-    engine;
-    config;
-    key;
-    out;
-    is_client;
-    algo = config.cc ();
-    rto = Rto.create ~min_rto:config.min_rto ();
-    tracer = Obs.Runtime.tracer ();
-    attrib = Obs.Runtime.attrib ();
-    state = (if is_client then Closed else Listen);
-    snd_una = 0;
-    snd_nxt = 0;
-    cwnd = config.init_cwnd_segments * config.mss;
-    ssthresh = 1 lsl 30;
-    peer_rwnd = 65535;
-    peer_wscale = 0;
-    dupacks = 0;
-    in_recovery = false;
-    recover = 0;
-    sacked = [];
-    high_rxt = 0;
-    rxt_out = 0;
-    rto_timer = None;
-    rto_recovering = false;
-    rto_action = unset_action;
-    delack_action = unset_action;
-    rtt_seq = -1;
-    rtt_sent_at = Time_ns.zero;
-    app_bytes = 0;
-    infinite_source = false;
-    fin_pending = false;
-    fin_sent = false;
-    messages = Queue.create ();
-    need_cwr = false;
-    cwr_seq = 0;
-    rcv_nxt = 0;
-    ooo = [];
-    ece_latched = false;
-    fin_received = false;
-    delack_timer = None;
-    unacked_segments = 0;
-    bytes_acked = 0;
-    retransmissions = 0;
-    timeouts = 0;
-    established_cb = ignore;
-    rtt_hook = ignore;
-    cwnd_hook = (fun _ _ -> ());
-    bytes_hook = (fun _ _ -> ());
-  }
+  let rec t =
+    {
+      engine;
+      config;
+      key;
+      out;
+      is_client;
+      algo = config.cc ();
+      view =
+        {
+          Cc.now = (fun () -> Engine.now engine);
+          mss = config.mss;
+          get_cwnd = (fun () -> t.cwnd);
+          set_cwnd = (fun w -> apply_cwnd t w);
+          get_ssthresh = (fun () -> t.ssthresh);
+          set_ssthresh = (fun v -> t.ssthresh <- v);
+          in_flight = (fun () -> t.snd_nxt - t.snd_una);
+          srtt = (fun () -> Rto.srtt t.rto);
+        };
+      rto = Rto.create ~min_rto:config.min_rto ();
+      tracer = Obs.Runtime.tracer ();
+      attrib = Obs.Runtime.attrib ();
+      state = (if is_client then Closed else Listen);
+      snd_una = 0;
+      snd_nxt = 0;
+      cwnd = config.init_cwnd_segments * config.mss;
+      ssthresh = 1 lsl 30;
+      peer_rwnd = 65535;
+      peer_wscale = 0;
+      dupacks = 0;
+      in_recovery = false;
+      recover = 0;
+      sacked = [];
+      high_rxt = 0;
+      rxt_out = 0;
+      rto_timer = None;
+      rto_recovering = false;
+      rto_action = unset_action;
+      delack_action = unset_action;
+      rtt_seq = -1;
+      rtt_sent_at = Time_ns.zero;
+      app_bytes = 0;
+      infinite_source = false;
+      fin_pending = false;
+      fin_sent = false;
+      messages = Queue.create ();
+      need_cwr = false;
+      cwr_seq = 0;
+      rcv_nxt = 0;
+      ooo = [];
+      ece_latched = false;
+      fin_received = false;
+      delack_timer = None;
+      unacked_segments = 0;
+      bytes_acked = 0;
+      retransmissions = 0;
+      timeouts = 0;
+      established_cb = ignore;
+      rtt_hook = ignore;
+      cwnd_hook = (fun _ _ -> ());
+      bytes_hook = (fun _ _ -> ());
+    }
+  in
+  t
 
 let create_client engine config ~key ~out = create engine config ~key ~out ~is_client:true
 
@@ -172,25 +194,6 @@ let on_established t f = t.established_cb <- f
 
 (* ------------------------------------------------------------------ *)
 (* Congestion control plumbing                                         *)
-
-let apply_cwnd t w =
-  let w = match t.config.max_cwnd with Some m -> Stdlib.min m w | None -> w in
-  if w <> t.cwnd then begin
-    t.cwnd <- w;
-    t.cwnd_hook (Engine.now t.engine) w
-  end
-
-let view t =
-  {
-    Cc.now = (fun () -> Engine.now t.engine);
-    mss = t.config.mss;
-    get_cwnd = (fun () -> t.cwnd);
-    set_cwnd = apply_cwnd t;
-    get_ssthresh = (fun () -> t.ssthresh);
-    set_ssthresh = (fun v -> t.ssthresh <- v);
-    in_flight = (fun () -> t.snd_nxt - t.snd_una);
-    srtt = (fun () -> Rto.srtt t.rto);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Packet construction                                                 *)
@@ -205,11 +208,19 @@ let emit t pkt =
       (Obs.Trace.created ~node:(Printf.sprintf "host%d" t.key.Dcpkt.Flow_key.src_ip) pkt);
   t.out pkt
 
+(* An ACK-bearing segment of this connection.  Each optional argument of
+   [Packet.make] is boxed at a call from another library, on every
+   segment, so the per-segment header fields are written into the fresh
+   record instead. *)
+let segment t ~seq ~payload =
+  let pkt = Packet.make ~key:t.key ~has_ack:true ~payload () in
+  pkt.Packet.seq <- seq;
+  pkt.Packet.ack <- t.rcv_nxt;
+  pkt.Packet.rwnd_field <- advertised_window_field t;
+  pkt
+
 let make_ack t =
-  let pkt =
-    Packet.make ~key:t.key ~seq:t.snd_nxt ~ack:t.rcv_nxt ~has_ack:true
-      ~rwnd_field:(advertised_window_field t) ~payload:0 ()
-  in
+  let pkt = segment t ~seq:t.snd_nxt ~payload:0 in
   pkt.Packet.ece <- t.ece_latched;
   (match t.ooo with
   | [] -> ()
@@ -238,11 +249,20 @@ let rec insert_interval intervals start stop =
 let sacked_bytes t =
   List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 t.sacked
 
-let prune_sacked t =
-  t.sacked <-
-    List.filter_map
-      (fun (s, e) -> if e <= t.snd_una then None else Some (Stdlib.max s t.snd_una, e))
-      t.sacked
+(* Drop the intervals at or below [una] and clip the rest to start at
+   [una]; returns the list itself when nothing changes.  Top-level, like
+   the other per-ACK list walks here, so no closure is allocated. *)
+let rec prune_below una l =
+  match l with
+  | [] -> l
+  | (s, e) :: rest ->
+    if e <= una then prune_below una rest
+    else begin
+      let kept = prune_below una rest in
+      if s >= una && kept == rest then l else (Stdlib.max s una, e) :: kept
+    end
+
+let prune_sacked t = t.sacked <- prune_below t.snd_una t.sacked
 
 (* Outstanding bytes as the sender estimates them: sent minus selectively
    acknowledged, plus retransmissions believed still in the network. *)
@@ -295,10 +315,9 @@ and handle_rto t =
     Log.debug (fun m ->
         m "%a: RTO #%d (una=%d nxt=%d cwnd=%d)" Flow_key.pp t.key t.timeouts t.snd_una
           t.snd_nxt t.cwnd);
-    let v = view t in
-    t.ssthresh <- Cc.clamp_cwnd v ((t.snd_nxt - t.snd_una) / 2);
+    t.ssthresh <- Cc.clamp_cwnd t.view ((t.snd_nxt - t.snd_una) / 2);
     apply_cwnd t t.config.mss;
-    t.algo.Cc.on_rto v;
+    t.algo.Cc.on_rto t.view;
     (* Go-back-N: the receiver holds out-of-order ranges, so the cumulative
        ACK will jump over whatever actually arrived. *)
     t.snd_nxt <- t.snd_una;
@@ -328,11 +347,8 @@ and effective_window t =
   Stdlib.min t.cwnd rwnd
 
 and send_segment t ~seq ~payload ~retransmit =
-  let pkt =
-    Packet.make ~key:t.key ~seq ~ack:t.rcv_nxt ~has_ack:true
-      ~ecn:(if t.config.ecn_capable then Packet.Ect0 else Packet.Not_ect)
-      ~rwnd_field:(advertised_window_field t) ~payload ()
-  in
+  let pkt = segment t ~seq ~payload in
+  if t.config.ecn_capable then pkt.Packet.ecn <- Packet.Ect0;
   if t.need_cwr then begin
     pkt.Packet.cwr <- true;
     t.need_cwr <- false
@@ -355,10 +371,8 @@ and maybe_send_fin t =
     && available_bytes t = 0
     && t.state = Established
   then begin
-    let pkt =
-      Packet.make ~key:t.key ~seq:t.snd_nxt ~ack:t.rcv_nxt ~has_ack:true ~fin:true
-        ~rwnd_field:(advertised_window_field t) ~payload:0 ()
-    in
+    let pkt = segment t ~seq:t.snd_nxt ~payload:0 in
+    pkt.Packet.fin <- true;
     t.fin_sent <- true;
     t.snd_nxt <- t.snd_nxt + 1;
     t.state <- Fin_wait;
@@ -520,16 +534,11 @@ let update_peer_window t (pkt : Packet.t) =
 
 let complete_messages t =
   let popped = ref false in
-  let rec loop () =
-    match Queue.peek_opt t.messages with
-    | Some m when m.end_seq <= t.snd_una ->
-      ignore (Queue.pop t.messages);
-      popped := true;
-      m.on_complete (Time_ns.diff (Engine.now t.engine) m.submitted);
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
+  while (not (Queue.is_empty t.messages)) && (Queue.peek t.messages).end_seq <= t.snd_una do
+    let m = Queue.pop t.messages in
+    popped := true;
+    m.on_complete (Time_ns.diff (Engine.now t.engine) m.submitted)
+  done;
   (* The flow's attribution snapshot: taken when the last queued message
      completes (not on later pure ACKs), so the per-state durations sum to
      the connect-to-last-byte-acked FCT exactly. *)
@@ -545,7 +554,7 @@ let classic_ecn_reaction t (pkt : Packet.t) =
     pkt.ece && t.config.ecn_capable && (not t.algo.Cc.per_ack_ecn) && (not t.in_recovery)
     && t.snd_una > t.cwr_seq
   then begin
-    t.algo.Cc.on_congestion (view t) Cc.Ecn;
+    t.algo.Cc.on_congestion t.view Cc.Ecn;
     t.cwr_seq <- t.snd_nxt;
     t.need_cwr <- true
   end
@@ -589,15 +598,17 @@ let enter_fast_recovery t =
   t.recover <- t.snd_nxt;
   t.high_rxt <- t.snd_una;
   t.rxt_out <- 0;
-  t.algo.Cc.on_congestion (view t) Cc.Dup_acks;
+  t.algo.Cc.on_congestion t.view Cc.Dup_acks;
   retransmit_holes t
 
-let absorb_sack t (pkt : Packet.t) =
-  List.iter
-    (fun (s, e) ->
-      if e > t.snd_una && e <= t.snd_nxt then
-        t.sacked <- insert_interval t.sacked (Stdlib.max s t.snd_una) e)
-    (Packet.sack_blocks pkt)
+let rec absorb_blocks t = function
+  | [] -> ()
+  | (s, e) :: rest ->
+    if e > t.snd_una && e <= t.snd_nxt then
+      t.sacked <- insert_interval t.sacked (Stdlib.max s t.snd_una) e;
+    absorb_blocks t rest
+
+let absorb_sack t (pkt : Packet.t) = absorb_blocks t (Packet.sack_blocks pkt)
 
 let handle_ack t (pkt : Packet.t) =
   update_peer_window t pkt;
@@ -638,7 +649,7 @@ let handle_ack t (pkt : Packet.t) =
     end
     else begin
       classic_ecn_reaction t pkt;
-      t.algo.Cc.on_ack (view t) ~acked ~rtt ~ce_marked:pkt.ece
+      t.algo.Cc.on_ack t.view ~acked ~rtt ~ce_marked:pkt.ece
     end;
     complete_messages t;
     if t.fin_sent && t.snd_una >= t.snd_nxt then begin

@@ -35,12 +35,20 @@ let create ?(name = "vswitch") ?(clock = fun () -> Eventsim.Time_ns.zero) () =
 
 let add_processor t p = t.processors <- t.processors @ [ p ]
 
-let run_chain processors pkt ~inject ~select =
-  let rec loop = function
-    | [] -> Pass
-    | p :: rest -> ( match (select p) pkt ~inject with Pass -> loop rest | Drop -> Drop)
-  in
-  loop processors
+(* One top-level walk per direction.  A local [loop] closing over the
+   packet would be a heap closure per packet, and a shared walk taking a
+   field selector compiles [(select p) pkt ~inject] as one three-argument
+   application, which builds a partial application of the handler on
+   every call. *)
+let rec run_egress pkt inject = function
+  | [] -> Pass
+  | p :: rest -> (
+    match p.egress pkt ~inject with Pass -> run_egress pkt inject rest | Drop -> Drop)
+
+let rec run_ingress pkt inject = function
+  | [] -> Pass
+  | p :: rest -> (
+    match p.ingress pkt ~inject with Pass -> run_ingress pkt inject rest | Drop -> Drop)
 
 let trace_drop t (pkt : Dcpkt.Packet.t) ~egress =
   if Obs.Trace.enabled t.tracer then
@@ -49,7 +57,7 @@ let trace_drop t (pkt : Dcpkt.Packet.t) ~egress =
 
 let process_egress_unprofiled t pkt ~emit =
   Obs.Metrics.incr t.m_egress_packets;
-  match run_chain t.processors pkt ~inject:emit ~select:(fun p -> p.egress) with
+  match run_egress pkt emit t.processors with
   | Pass -> emit pkt
   | Drop ->
     Obs.Metrics.incr t.m_egress_drops;
@@ -65,7 +73,7 @@ let process_egress t pkt ~emit =
 
 let process_ingress_unprofiled t pkt ~deliver =
   Obs.Metrics.incr t.m_ingress_packets;
-  match run_chain t.processors pkt ~inject:deliver ~select:(fun p -> p.ingress) with
+  match run_ingress pkt deliver t.processors with
   | Pass -> deliver pkt
   | Drop ->
     Obs.Metrics.incr t.m_ingress_drops;

@@ -18,7 +18,13 @@ val create :
     longer than [idle_timeout] (default 5 s) or already marked closed. *)
 
 val find : 'a t -> Dcpkt.Flow_key.t -> 'a option
-(** Lookup refreshes the entry's last-active time. *)
+(** Lookup refreshes the entry's last-active time.  A hit returns an
+    option cell built once at insertion, so lookups allocate nothing. *)
+
+val find_reverse : 'a t -> Dcpkt.Flow_key.t -> 'a option
+(** [find_reverse t key] is [find t (Dcpkt.Flow_key.reverse key)] — the
+    flow a packet of the opposite direction belongs to (an ACK's data
+    flow) — served from an index of reversed keys built at insertion. *)
 
 val find_or_create : 'a t -> Dcpkt.Flow_key.t -> make:(unit -> 'a) -> 'a
 

@@ -592,6 +592,54 @@ let test_rng_split_independent () =
   let child = Rng.split parent in
   check_bool "child differs from parent" true (Rng.bits64 child <> Rng.bits64 parent)
 
+(* The SplitMix64 streams themselves, pinned: outputs of [bits64], [int],
+   [float] and [split] for three seeds.  Every seeded workload, fuzz
+   scenario and benchmark input is drawn from these streams, so a change
+   to the generator's state handling must leave them bit-identical. *)
+let rng_golden =
+  [
+    ( 0,
+      [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ],
+      [ 162391415; 326764436; 58226567 ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6 ],
+      [ 0xa706dd2f4d197e6fL; 0xb382a305f4414f5eL ] );
+    ( 1,
+      [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L ],
+      [ 941333156; 352957867; 116884567 ],
+      [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2 ],
+      [ 0x55c55969ed403149L; 0xfb85af9c9a7e41f1L ] );
+    ( 42,
+      [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L ],
+      [ 893968961; 604656497; 986793367 ],
+      [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3 ],
+      [ 0x5599b3e06d073327L; 0xd6171d07a31128dfL ] );
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, bits, ints, floats, child) ->
+      let draws n f =
+        let rng = Rng.create ~seed in
+        List.init n (fun _ -> f rng)
+      in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check (list int64)) (name "bits64") bits (draws 3 Rng.bits64);
+      Alcotest.(check (list int))
+        (name "int") ints
+        (draws 3 (fun r -> Rng.int r 1_000_000_007));
+      Alcotest.(check (list (float 0.)))
+        (name "float") floats
+        (draws 3 (fun r -> Rng.float r 1.0));
+      (* [split] consumes one draw of the parent, which carries on with
+         its second output. *)
+      let parent = Rng.create ~seed in
+      let c = Rng.split parent in
+      let c1 = Rng.bits64 c in
+      let c2 = Rng.bits64 c in
+      Alcotest.(check (list int64)) (name "split child") child [ c1; c2 ];
+      Alcotest.(check int64) (name "parent after split") (List.nth bits 1) (Rng.bits64 parent))
+    rng_golden
+
 let prop_rng_int_in_range =
   QCheck.Test.make ~name:"Rng.int stays in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -701,6 +749,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "golden vectors" `Quick test_rng_golden;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
