@@ -207,7 +207,7 @@ let int_view events spec =
       | Trace.Int_hop { flow = f; pkt; depth; hop; port; ingress; egress; qbytes; svc_bps }
         when fwd f || rev f ->
         let is_fwd = fwd f in
-        let label = Printf.sprintf "%s:%d" hop port in
+        let label = Dcpkt.Int_meta.label ~name:hop ~port in
         let a = agg_of is_fwd label in
         let sojourn = egress - ingress in
         a.first_depth <- min a.first_depth depth;
@@ -364,7 +364,7 @@ let why_view events spec =
     (fun (_, ev) ->
       match ev with
       | Trace.Int_hop { flow = f; hop; port; ingress; egress; _ } when Flow_key.equal f flow ->
-        let label = Printf.sprintf "%s:%d" hop port in
+        let label = Dcpkt.Int_meta.label ~name:hop ~port in
         let sum, n = Option.value ~default:(0, 0) (Hashtbl.find_opt hops label) in
         Hashtbl.replace hops label (sum + (egress - ingress), n + 1)
       | _ -> ())

@@ -75,7 +75,7 @@ module Int_hops = struct
           incr stacks;
           Array.iter
             (fun (h : Int_meta.hop) ->
-              let label = Printf.sprintf "%s:%d" (Int_meta.name h.hop_id) h.port in
+              let label = Int_meta.hop_label h in
               let a =
                 match Hashtbl.find_opt acc label with
                 | Some a -> a

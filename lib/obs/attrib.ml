@@ -77,6 +77,8 @@ type snapshot = {
   snap_hop_packets : int;
 }
 
+type hop_sum = { hop_label : string; mutable sojourn_ns : int }
+
 type clock = {
   key : Flow_key.t;
   mutable started : Time_ns.t;
@@ -84,7 +86,7 @@ type clock = {
   mutable since : Time_ns.t;
   acc : int array; (* ns per state, indexed by state_index *)
   mutable enforced : bool;
-  hops : (string, int ref) Hashtbl.t; (* per-hop sojourn sums, ns *)
+  hops : (int * int, hop_sum) Hashtbl.t; (* per-hop sojourn sums by (hop_id, port) *)
   mutable hop_packets : int;
   mutable watched : (Timeseries.t * string) option;
   mutable snap : snapshot option; (* latest completion snapshot *)
@@ -196,24 +198,26 @@ let set_enforced t key enforced =
   | Some c -> c.enforced <- enforced
 
 let absorb_hops t key hops =
-  match Flow_key.Table.find_opt t.flows key with
-  | None -> ()
-  | Some c ->
+  match Flow_key.Table.find t.flows key with
+  | exception Not_found -> ()
+  | c ->
     if Array.length hops > 0 then begin
       c.hop_packets <- c.hop_packets + 1;
-      Array.iter
-        (fun (h : Int_meta.hop) ->
-          let label = Printf.sprintf "%s:%d" (Int_meta.name h.hop_id) h.port in
-          match Hashtbl.find_opt c.hops label with
-          | Some r -> r := !r + Int_meta.sojourn_ns h
-          | None -> Hashtbl.add c.hops label (ref (Int_meta.sojourn_ns h)))
-        hops
+      for i = 0 to Array.length hops - 1 do
+        let h = hops.(i) in
+        let hop = (h.Int_meta.hop_id, h.Int_meta.port) in
+        match Hashtbl.find c.hops hop with
+        | sum -> sum.sojourn_ns <- sum.sojourn_ns + Int_meta.sojourn_ns h
+        | exception Not_found ->
+          Hashtbl.add c.hops hop
+            { hop_label = Int_meta.hop_label h; sojourn_ns = Int_meta.sojourn_ns h }
+      done
     end
 
 let states_of c = List.map (fun s -> (s, c.acc.(state_index s))) all_states
 
 let hops_of c =
-  Hashtbl.fold (fun label r acc -> (label, !r) :: acc) c.hops []
+  Hashtbl.fold (fun _ sum acc -> (sum.hop_label, sum.sojourn_ns) :: acc) c.hops []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let complete t ~now ~tracer key =

@@ -2,6 +2,7 @@ module Flow_key = Dcpkt.Flow_key
 module Int_meta = Dcpkt.Int_meta
 
 type hop_agg = {
+  label : string;
   sojourn : Dcstats.Samples.t;
   mutable max_qbytes : int;
   mutable svc_sum_bps : float;
@@ -9,7 +10,7 @@ type hop_agg = {
 }
 
 type t = {
-  per_hop : (string, hop_agg) Hashtbl.t;
+  per_hop : (int * int, hop_agg) Hashtbl.t; (* by (hop_id, port) *)
   mutable path_sojourn : Dcstats.Samples.t;
   mutable packets : int;
   mutable hops : int;
@@ -37,43 +38,48 @@ let reset t =
 
 let watch t ~ts ?(prefix = "flow") flow = t.watched <- Some (ts, prefix, flow)
 
-let hop_label (h : Int_meta.hop) = Printf.sprintf "%s:%d" (Int_meta.name h.hop_id) h.port
-
-let agg_for t label =
-  match Hashtbl.find_opt t.per_hop label with
-  | Some a -> a
-  | None ->
+(* The label is formatted once, when the hop is first seen. *)
+let agg_for t (h : Int_meta.hop) =
+  let key = (h.hop_id, h.port) in
+  match Hashtbl.find t.per_hop key with
+  | a -> a
+  | exception Not_found ->
     let a =
-      { sojourn = Dcstats.Samples.create (); max_qbytes = 0; svc_sum_bps = 0.0; samples = 0 }
+      {
+        label = Int_meta.hop_label h;
+        sojourn = Dcstats.Samples.create ();
+        max_qbytes = 0;
+        svc_sum_bps = 0.0;
+        samples = 0;
+      }
     in
-    Hashtbl.add t.per_hop label a;
+    Hashtbl.add t.per_hop key a;
     a
 
 let absorb t ~now ~flow ~hops ~exceeded =
   t.packets <- t.packets + 1;
   if exceeded then t.exceeded <- t.exceeded + 1;
   let path = ref 0 in
-  Array.iter
-    (fun (h : Int_meta.hop) ->
-      t.hops <- t.hops + 1;
-      let sojourn = Int_meta.sojourn_ns h in
-      path := !path + sojourn;
-      let label = hop_label h in
-      let agg = agg_for t label in
-      Dcstats.Samples.add agg.sojourn (float_of_int sojourn);
-      if h.qbytes > agg.max_qbytes then agg.max_qbytes <- h.qbytes;
-      agg.svc_sum_bps <- agg.svc_sum_bps +. float_of_int h.svc_bps;
-      agg.samples <- agg.samples + 1;
-      match t.watched with
-      | Some (ts, prefix, f)
-        when Flow_key.equal f flow || Flow_key.equal (Flow_key.reverse f) flow ->
-        let ch name =
-          Timeseries.channel ts (Printf.sprintf "int.%s.%s.%s" prefix label name)
-        in
-        Timeseries.record (ch "sojourn_ns") ~now (float_of_int sojourn);
-        Timeseries.record (ch "qbytes") ~now (float_of_int h.qbytes)
-      | Some _ | None -> ())
-    hops;
+  for i = 0 to Array.length hops - 1 do
+    let h = hops.(i) in
+    t.hops <- t.hops + 1;
+    let sojourn = Int_meta.sojourn_ns h in
+    path := !path + sojourn;
+    let agg = agg_for t h in
+    Dcstats.Samples.add agg.sojourn (float_of_int sojourn);
+    if h.qbytes > agg.max_qbytes then agg.max_qbytes <- h.qbytes;
+    agg.svc_sum_bps <- agg.svc_sum_bps +. float_of_int h.svc_bps;
+    agg.samples <- agg.samples + 1;
+    match t.watched with
+    | Some (ts, prefix, f)
+      when Flow_key.equal f flow || Flow_key.equal (Flow_key.reverse f) flow ->
+      let ch name =
+        Timeseries.channel ts (Printf.sprintf "int.%s.%s.%s" prefix agg.label name)
+      in
+      Timeseries.record (ch "sojourn_ns") ~now (float_of_int sojourn);
+      Timeseries.record (ch "qbytes") ~now (float_of_int h.qbytes)
+    | Some _ | None -> ()
+  done;
   if Array.length hops > 0 then Dcstats.Samples.add t.path_sojourn (float_of_int !path)
 
 let touched t = t.packets > 0
@@ -100,7 +106,7 @@ let samples_json samples =
 
 let to_json t =
   let hops =
-    Hashtbl.fold (fun label agg acc -> (label, agg) :: acc) t.per_hop []
+    Hashtbl.fold (fun _ agg acc -> (agg.label, agg) :: acc) t.per_hop []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (label, agg) ->
            ( label,

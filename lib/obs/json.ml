@@ -62,6 +62,24 @@ let add_escaped buf s =
     incr i
   done
 
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
+
+(* Digits of [n <= 0], most significant first.  Working on the
+   non-positive side covers [min_int], whose negation overflows. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
 let add_float buf f =
   if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
   else Buffer.add_string buf "null"
@@ -70,12 +88,9 @@ let add_float buf f =
 let rec write buf ~indent ~level = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> add_float buf f
-  | String s ->
-    Buffer.add_char buf '"';
-    add_escaped buf s;
-    Buffer.add_char buf '"'
+  | String s -> add_string buf s
   | List items ->
     write_seq buf ~indent ~level ~opening:'[' ~closing:']' items (fun buf ~indent ~level item ->
         write buf ~indent ~level item)

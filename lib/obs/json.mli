@@ -30,6 +30,22 @@ val to_string_pretty : t -> string
 val to_channel : out_channel -> t -> unit
 (** [to_string_pretty] followed by a newline. *)
 
+(** {2 Scalar writers}
+
+    The pieces {!to_string} is made of, for encoders that write a
+    document straight into a buffer without building a [t] (the JSONL
+    trace).  None of them allocates, except [add_float] and the [\u]
+    escape of a control character. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append exactly what [string_of_int] prints. *)
+
+val add_string : Buffer.t -> string -> unit
+(** Append a quoted JSON string, escaped as {!to_string} escapes it. *)
+
+val add_float : Buffer.t -> float -> unit
+(** Append [%.12g], or [null] for a non-finite float. *)
+
 val of_string : string -> (t, string) result
 (** Strict recursive-descent parser for the full JSON grammar (used by
     [report_diff] and the round-trip tests).  Numbers without a fraction or

@@ -16,6 +16,8 @@ type writer = {
   ifaces : (string, int) Hashtbl.t;
   mutable next_iface : int;
   mutable frames : int;
+  (* Where each record is built before its one [write]. *)
+  scratch : Bytes.t;
 }
 
 type t = Null | Writer of writer
@@ -29,6 +31,10 @@ let add16 b v = Buffer.add_uint16_le b (v land 0xFFFF)
 let add32 b v =
   add16 b (v land 0xFFFF);
   add16 b ((v lsr 16) land 0xFFFF)
+
+let set32 b off v =
+  Bytes.set_uint16_le b off (v land 0xFFFF);
+  Bytes.set_uint16_le b (off + 2) ((v lsr 16) land 0xFFFF)
 
 (* ------------------------------------------------------------------ *)
 (* Classic pcap                                                        *)
@@ -48,14 +54,8 @@ let classic_header () =
   add32 b linktype_ethernet;
   Buffer.contents b
 
-let classic_record ~now ~orig_len data =
-  let b = Buffer.create (16 + String.length data) in
-  add32 b (now / 1_000_000_000);
-  add32 b (now mod 1_000_000_000);
-  add32 b (String.length data);
-  add32 b orig_len;
-  Buffer.add_string b data;
-  Buffer.contents b
+(* A record is  ts_sec | ts_nsec | incl_len | orig_len | frame. *)
+let classic_record_header = 16
 
 (* ------------------------------------------------------------------ *)
 (* pcapng                                                              *)
@@ -113,31 +113,32 @@ let interface_block ~name =
   (* opt_endofopt *)
   block 0x00000001 (Buffer.contents b)
 
-let enhanced_packet ~iface ~now ~orig_len data =
-  let b = Buffer.create (20 + String.length data) in
-  add32 b iface;
-  add32 b (now lsr 32);
-  add32 b (now land 0xFFFFFFFF);
-  add32 b (String.length data);
-  add32 b orig_len;
-  Buffer.add_string b data;
-  let pad = (4 - (String.length data mod 4)) mod 4 in
-  for _ = 1 to pad do
-    Buffer.add_char b '\000'
-  done;
-  block 0x00000006 (Buffer.contents b)
+(* An enhanced packet block is  type | total_len | iface | ts_high |
+   ts_low | incl_len | orig_len | frame, padded | total_len. *)
+let epb_header = 28
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 
+(* Room for the longer record: an EPB around the longest frame. *)
+let scratch_bytes = epb_header + Packet.max_wire_bytes + 3 + 4
+
 let create ~format ~write =
   write (match format with Pcap -> classic_header () | Pcapng -> section_header ());
-  Writer { format; write; ifaces = Hashtbl.create 16; next_iface = 0; frames = 0 }
+  Writer
+    {
+      format;
+      write;
+      ifaces = Hashtbl.create 16;
+      next_iface = 0;
+      frames = 0;
+      scratch = Bytes.create scratch_bytes;
+    }
 
 let iface_id w name =
-  match Hashtbl.find_opt w.ifaces name with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find w.ifaces name with
+  | id -> id
+  | exception Not_found ->
     let id = w.next_iface in
     w.next_iface <- id + 1;
     Hashtbl.replace w.ifaces name id;
@@ -147,18 +148,38 @@ let iface_id w name =
 let capture_unprofiled t ~iface ~now (pkt : Packet.t) =
   match t with
   | Null -> ()
-  | Writer w ->
-    let data = Packet.to_wire pkt in
+  | Writer w -> (
+    let b = w.scratch in
+    let header = match w.format with Pcap -> classic_record_header | Pcapng -> epb_header in
+    (* Encoding first: a frame [Packet.to_wire] rejects raises here, before
+       anything is counted or written. *)
+    let len = Packet.write_wire pkt b ~off:header in
     (* Header-snapped capture: the payload is never materialized, so the
        frame is truncated at the headers and [orig_len] records the full
        on-wire size. *)
-    let orig_len = String.length data + pkt.Packet.payload in
+    let orig_len = len + pkt.Packet.payload in
     w.frames <- w.frames + 1;
-    (match w.format with
-    | Pcap -> w.write (classic_record ~now ~orig_len data)
+    match w.format with
+    | Pcap ->
+      set32 b 0 (now / 1_000_000_000);
+      set32 b 4 (now mod 1_000_000_000);
+      set32 b 8 len;
+      set32 b 12 orig_len;
+      w.write (Bytes.sub_string b 0 (header + len))
     | Pcapng ->
       let id = iface_id w iface in
-      w.write (enhanced_packet ~iface:id ~now ~orig_len data))
+      let pad = (4 - (len mod 4)) mod 4 in
+      let total = header + len + pad + 4 in
+      set32 b 0 0x00000006;
+      set32 b 4 total;
+      set32 b 8 id;
+      set32 b 12 (now lsr 32);
+      set32 b 16 (now land 0xFFFFFFFF);
+      set32 b 20 len;
+      set32 b 24 orig_len;
+      Bytes.fill b (header + len) pad '\000';
+      set32 b (total - 4) total;
+      w.write (Bytes.sub_string b 0 total))
 
 let capture t ~iface ~now pkt =
   (* A live capture serializes the frame on the datapath; the span makes

@@ -54,7 +54,7 @@ type ring = {
 type t =
   | Null
   | Ring of ring
-  | Write of (string -> unit)
+  | Write of { line : Buffer.t; write : string -> unit }
   | Tee of t * t
   | Filter of (Time_ns.t -> event -> bool) * t
 
@@ -66,11 +66,10 @@ let ring ?(capacity = 1024) () =
   assert (capacity > 0);
   Ring { slots = Array.make capacity None; next = 0; total = 0 }
 
-let jsonl ~write = Write write
+let jsonl ~write = Write { line = Buffer.create 256; write }
 
 let jsonl_channel oc =
-  Write
-    (fun line ->
+  jsonl ~write:(fun line ->
       output_string oc line;
       output_char oc '\n')
 
@@ -100,12 +99,9 @@ let action_label = function
   | Imp_pack_stripped -> "pack_stripped"
   | Imp_reordered -> "reordered"
 
-let flow_label (k : Flow_key.t) =
-  Printf.sprintf "%d:%d>%d:%d" k.src_ip k.src_port k.dst_ip k.dst_port
-
-(* Inverse of [flow_label]; also accepts the order-insensitive CLI
-   spelling "a:p-b:q" used by [trace_query explain --flow] and
-   [--trace-filter]. *)
+(* Inverse of the trace's "flow" field, "a:p>b:q"; also accepts the
+   order-insensitive CLI spelling "a:p-b:q" used by [trace_query explain
+   --flow] and [--trace-filter]. *)
 let flow_of_spec spec =
   let split2 c s =
     match String.index_opt s c with
@@ -208,142 +204,131 @@ let created ?kind ~node (p : Packet.t) =
       kind = (match kind with Some k -> k | None -> pkt_kind p);
     }
 
-let event_to_json ~now event =
-  let base kind rest = Json.Obj (("t", Json.Int now) :: ("ev", Json.String kind) :: rest) in
-  let base' rest = base (kind_of_event event) rest in
-  let queue_fields node port pkt size qbytes =
-    [
-      ("node", Json.String node);
-      ("port", Json.Int port);
-      ("pkt", Json.Int pkt);
-      ("size", Json.Int size);
-      ("qbytes", Json.Int qbytes);
-    ]
-  in
-  match event with
+(* ------------------------------------------------------------------ *)
+(* JSON encoding: one compact object per event, written field by field
+   into the sink's line buffer.  [event_of_json] is its inverse.         *)
+
+let int_field line key v =
+  Buffer.add_string line key;
+  Json.add_int line v
+
+let string_field line key v =
+  Buffer.add_string line key;
+  Json.add_string line v
+
+let bool_field line key v =
+  Buffer.add_string line key;
+  Buffer.add_string line (if v then "true" else "false")
+
+let float_field line key v =
+  Buffer.add_string line key;
+  Json.add_float line v
+
+(* "src_ip:src_port>dst_ip:dst_port" *)
+let flow_field line (k : Flow_key.t) =
+  Buffer.add_string line {|,"flow":"|};
+  Json.add_int line k.src_ip;
+  Buffer.add_char line ':';
+  Json.add_int line k.src_port;
+  Buffer.add_char line '>';
+  Json.add_int line k.dst_ip;
+  Buffer.add_char line ':';
+  Json.add_int line k.dst_port;
+  Buffer.add_char line '"'
+
+let encode line ~now event =
+  int_field line {|{"t":|} now;
+  string_field line {|,"ev":|} (kind_of_event event);
+  (match event with
   | Created { node; pkt; flow; size; kind } ->
-    base'
-      [
-        ("node", Json.String node);
-        ("pkt", Json.Int pkt);
-        ("flow", Json.String (flow_label flow));
-        ("size", Json.Int size);
-        ("kind", Json.String kind);
-      ]
-  | Enqueue { node; port; pkt; size; qbytes } -> base' (queue_fields node port pkt size qbytes)
-  | Dequeue { node; port; pkt; size; qbytes } -> base' (queue_fields node port pkt size qbytes)
+    string_field line {|,"node":|} node;
+    int_field line {|,"pkt":|} pkt;
+    flow_field line flow;
+    int_field line {|,"size":|} size;
+    string_field line {|,"kind":|} kind
+  | Enqueue { node; port; pkt; size; qbytes } | Dequeue { node; port; pkt; size; qbytes } ->
+    string_field line {|,"node":|} node;
+    int_field line {|,"port":|} port;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"size":|} size;
+    int_field line {|,"qbytes":|} qbytes
   | Drop { node; port; pkt; size; reason } ->
-    base'
-      [
-        ("node", Json.String node);
-        ("port", Json.Int port);
-        ("pkt", Json.Int pkt);
-        ("size", Json.Int size);
-        ("reason", Json.String (reason_label reason));
-      ]
+    string_field line {|,"node":|} node;
+    int_field line {|,"port":|} port;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"size":|} size;
+    string_field line {|,"reason":|} (reason_label reason)
   | Ce_mark { node; port; pkt; qbytes } ->
-    base'
-      [
-        ("node", Json.String node);
-        ("port", Json.Int port);
-        ("pkt", Json.Int pkt);
-        ("qbytes", Json.Int qbytes);
-      ]
-  | Impaired { link; pkt; action } ->
-    base'
-      (("link", Json.String link)
-      :: ("pkt", Json.Int pkt)
-      :: ("action", Json.String (action_label action))
-      ::
-      (match action with
-      | Imp_duplicated { copy } -> [ ("copy", Json.Int copy) ]
-      | Imp_lost | Imp_corrupted | Imp_pack_stripped | Imp_reordered -> []))
+    string_field line {|,"node":|} node;
+    int_field line {|,"port":|} port;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"qbytes":|} qbytes
+  | Impaired { link; pkt; action } -> (
+    string_field line {|,"link":|} link;
+    int_field line {|,"pkt":|} pkt;
+    string_field line {|,"action":|} (action_label action);
+    match action with
+    | Imp_duplicated { copy } -> int_field line {|,"copy":|} copy
+    | Imp_lost | Imp_corrupted | Imp_pack_stripped | Imp_reordered -> ())
   | Vswitch_drop { node; pkt; egress } ->
-    base'
-      [
-        ("node", Json.String node);
-        ("pkt", Json.Int pkt);
-        ("dir", Json.String (if egress then "egress" else "ingress"));
-      ]
-  | Delivered { node; pkt } -> base' [ ("node", Json.String node); ("pkt", Json.Int pkt) ]
+    string_field line {|,"node":|} node;
+    int_field line {|,"pkt":|} pkt;
+    string_field line {|,"dir":|} (if egress then "egress" else "ingress")
+  | Delivered { node; pkt } ->
+    string_field line {|,"node":|} node;
+    int_field line {|,"pkt":|} pkt
   | Pack_attach { flow; pkt; total; marked } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("pkt", Json.Int pkt);
-        ("total", Json.Int total);
-        ("marked", Json.Int marked);
-      ]
+    flow_field line flow;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"total":|} total;
+    int_field line {|,"marked":|} marked
   | Rwnd_rewrite { flow; pkt; window; field } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("pkt", Json.Int pkt);
-        ("window", Json.Int window);
-        ("field", Json.Int field);
-      ]
+    flow_field line flow;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"window":|} window;
+    int_field line {|,"field":|} field
   | Alpha_update { flow; alpha; fraction } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("alpha", Json.Float alpha);
-        ("fraction", Json.Float fraction);
-      ]
+    flow_field line flow;
+    float_field line {|,"alpha":|} alpha;
+    float_field line {|,"fraction":|} fraction
   | Policer_drop { flow; pkt; seq; window } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("pkt", Json.Int pkt);
-        ("seq", Json.Int seq);
-        ("window", Json.Int window);
-      ]
+    flow_field line flow;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"seq":|} seq;
+    int_field line {|,"window":|} window
   | Dupack { flow; ack; count } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("ack", Json.Int ack);
-        ("count", Json.Int count);
-      ]
+    flow_field line flow;
+    int_field line {|,"ack":|} ack;
+    int_field line {|,"count":|} count
   | Rto_fire { flow; inferred; count } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("inferred", Json.Bool inferred);
-        ("count", Json.Int count);
-      ]
+    flow_field line flow;
+    bool_field line {|,"inferred":|} inferred;
+    int_field line {|,"count":|} count
   | Int_hop { flow; pkt; depth; hop; port; ingress; egress; qbytes; svc_bps } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("pkt", Json.Int pkt);
-        ("depth", Json.Int depth);
-        ("hop", Json.String hop);
-        ("port", Json.Int port);
-        ("ingress", Json.Int ingress);
-        ("egress", Json.Int egress);
-        ("qbytes", Json.Int qbytes);
-        ("svc_bps", Json.Int svc_bps);
-      ]
+    flow_field line flow;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"depth":|} depth;
+    string_field line {|,"hop":|} hop;
+    int_field line {|,"port":|} port;
+    int_field line {|,"ingress":|} ingress;
+    int_field line {|,"egress":|} egress;
+    int_field line {|,"qbytes":|} qbytes;
+    int_field line {|,"svc_bps":|} svc_bps
   | Int_strip { node; flow; pkt; hops; exceeded } ->
-    base'
-      [
-        ("node", Json.String node);
-        ("flow", Json.String (flow_label flow));
-        ("pkt", Json.Int pkt);
-        ("hops", Json.Int hops);
-        ("exceeded", Json.Bool exceeded);
-      ]
+    string_field line {|,"node":|} node;
+    flow_field line flow;
+    int_field line {|,"pkt":|} pkt;
+    int_field line {|,"hops":|} hops;
+    bool_field line {|,"exceeded":|} exceeded
   | Attrib_transition { flow; from_state; to_state; spent } ->
-    base'
-      [
-        ("flow", Json.String (flow_label flow));
-        ("from", Json.String from_state);
-        ("to", Json.String to_state);
-        ("spent", Json.Int spent);
-      ]
+    flow_field line flow;
+    string_field line {|,"from":|} from_state;
+    string_field line {|,"to":|} to_state;
+    int_field line {|,"spent":|} spent);
+  Buffer.add_char line '}'
 
 (* ------------------------------------------------------------------ *)
-(* JSON decoding (the inverse of [event_to_json], for trace_query)     *)
+(* JSON decoding (the inverse of [encode], for trace_query)            *)
 
 let event_of_json json =
   let ( let* ) = Result.bind in
@@ -510,7 +495,10 @@ let rec emit_unprofiled t ~now event =
     r.slots.(r.next) <- Some (now, event);
     r.next <- (r.next + 1) mod Array.length r.slots;
     r.total <- r.total + 1
-  | Write write -> write (Json.to_string (event_to_json ~now event))
+  | Write { line; write } ->
+    Buffer.clear line;
+    encode line ~now event;
+    write (Buffer.contents line)
   | Tee (a, b) ->
     emit_unprofiled a ~now event;
     emit_unprofiled b ~now event

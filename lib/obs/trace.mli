@@ -108,7 +108,11 @@ val ring : ?capacity:int -> unit -> t
 
 val jsonl : write:(string -> unit) -> t
 (** Stream each event as one compact JSON line to [write] (the string has
-    no trailing newline). *)
+    no trailing newline): ["t"] and ["ev"] (its {!kind_of_event}) first,
+    then the event's fields, a flow spelled
+    ["src_ip:src_port>dst_ip:dst_port"].  The sink encodes into one
+    buffer it reuses, so an emitted event costs only the line handed to
+    [write]. *)
 
 val jsonl_channel : out_channel -> t
 (** [jsonl] writing newline-terminated lines to a channel. *)
@@ -182,10 +186,8 @@ val flow_of_event : event -> Dcpkt.Flow_key.t option
 val pkt_of_event : event -> int option
 (** The packet id, for packet-keyed events. *)
 
-val event_to_json : now:Eventsim.Time_ns.t -> event -> Json.t
-
 val event_of_json : Json.t -> (Eventsim.Time_ns.t * event, string) result
-(** Inverse of {!event_to_json}; [trace_query] uses it to re-read JSONL
-    traces.  Round-trips every constructor. *)
+(** Inverse of the {!jsonl} encoding; [trace_query] uses it to re-read
+    JSONL traces.  Round-trips every constructor. *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -37,6 +37,10 @@ let register ~name =
 let name id =
   match Hashtbl.find_opt names id with Some n -> n | None -> Printf.sprintf "hop%d" id
 
+let label ~name ~port = Printf.sprintf "%s:%d" name port
+
+let hop_label h = label ~name:(name h.hop_id) ~port:h.port
+
 let reset () =
   Hashtbl.reset ids;
   Hashtbl.reset names;
@@ -53,12 +57,14 @@ let qbytes_unit = 256
 
 let svc_unit = 10_000_000
 
-let quantize h =
-  {
-    hop_id = h.hop_id land 0xFF;
-    port = h.port land 0xFF;
-    ingress_ns = 0;
-    egress_ns = min 0xFFFF_FFFF (max 0 (sojourn_ns h));
-    qbytes = min 0xFFFF (h.qbytes / qbytes_unit) * qbytes_unit;
-    svc_bps = min 0xFFFF (h.svc_bps / svc_unit) * svc_unit;
-  }
+let wire_sojourn_ns h =
+  let s = sojourn_ns h in
+  if s < 0 then 0 else if s > 0xFFFF_FFFF then 0xFFFF_FFFF else s
+
+let wire_qbytes h =
+  let units = h.qbytes / qbytes_unit in
+  if units > 0xFFFF then 0xFFFF else units
+
+let wire_svc h =
+  let units = h.svc_bps / svc_unit in
+  if units > 0xFFFF then 0xFFFF else units

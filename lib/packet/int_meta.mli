@@ -10,7 +10,8 @@
     The model record keeps full-precision nanosecond timestamps; the wire
     encoding (a TCP option, see {!option_kind}) carries the quantized
     sojourn/queue/rate fields only.  Quantization is idempotent, so a
-    decoded hop re-encodes byte-identically. *)
+    decoded hop (ingress 0, sojourn in [egress_ns], whole carrier units)
+    re-encodes byte-identically. *)
 
 type hop = {
   hop_id : int;  (** switch identity from {!register}, 8 bits on the wire *)
@@ -46,6 +47,13 @@ val name : int -> string
 (** The registered name for an id, or ["hop<id>"] if unknown (e.g. a hop
     decoded from a foreign capture). *)
 
+val label : name:string -> port:int -> string
+(** ["<name>:<port>"]: how reports, timeseries channels and [trace_query]
+    name one switch port of an INT path. *)
+
+val hop_label : hop -> string
+(** The {!label} of the hop's switch ({!name} of [hop_id]) and port. *)
+
 val reset : unit -> unit
 (** Forget all registrations and re-enable from a clean slate (test
     isolation). *)
@@ -77,8 +85,15 @@ val qbytes_unit : int
 val svc_unit : int
 (** 10_000_000: service rate is carried in 10 Mbit/s units. *)
 
-val quantize : hop -> hop
-(** The hop as the wire represents it: sojourn folded into [egress_ns]
-    (with [ingress_ns = 0]) and saturated to 32 bits, [qbytes] and
-    [svc_bps] rounded down to their carrier units.  [quantize] is
-    idempotent — applying it to a decoded hop is the identity. *)
+(** {2 Wire fields}
+
+    What the wire carries for a hop besides its 8-bit id and port. *)
+
+val wire_sojourn_ns : hop -> int
+(** {!sojourn_ns}, saturated to [[0, 2^32 - 1]]. *)
+
+val wire_qbytes : hop -> int
+(** [qbytes] in {!qbytes_unit}s, rounded down, saturated at [0xFFFF]. *)
+
+val wire_svc : hop -> int
+(** [svc_bps] in {!svc_unit}s, rounded down, saturated at [0xFFFF]. *)

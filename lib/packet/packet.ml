@@ -220,7 +220,14 @@ let set_mac b off i =
 
 let set16 b off v = Bytes.set_uint16_be b off (v land 0xFFFF)
 
-let set32 b off v = Bytes.set_int32_be b off (Int32.of_int (v land 0xFFFFFFFF))
+(* Two 16-bit stores: [Bytes.set_int32_be] takes a boxed [int32]. *)
+let set32 b off v =
+  set16 b off (v lsr 16);
+  set16 b (off + 2) v
+
+let set24 b off v =
+  Bytes.set_uint8 b off ((v lsr 16) land 0xFF);
+  set16 b (off + 1) v
 
 let get32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
@@ -246,116 +253,136 @@ let fold_checksum sum =
    layer never materializes payload (frames are snapped at the header),
    so zero-fill is the only deterministic choice, and [of_wire] verifies
    against the same convention.  The payload still contributes through
-   the pseudo-header length. *)
+   the pseudo-header length.  The pseudo-header's addresses are read from
+   the IPv4 header just before the segment; its zero byte and protocol
+   sum to 6. *)
 let tcp_checksum b ~tcp_off ~tcp_len ~payload =
-  let pseudo = Bytes.create 12 in
-  Bytes.blit b (tcp_off - 8) pseudo 0 8;
-  (* src + dst IPs *)
-  Bytes.set_uint8 pseudo 8 0;
-  Bytes.set_uint8 pseudo 9 6;
-  set16 pseudo 10 (tcp_len + payload);
-  fold_checksum (ones_sum (ones_sum 0 pseudo ~off:0 ~len:12) b ~off:tcp_off ~len:tcp_len)
+  let pseudo =
+    Bytes.get_uint16_be b (tcp_off - 8)
+    + Bytes.get_uint16_be b (tcp_off - 6)
+    + Bytes.get_uint16_be b (tcp_off - 4)
+    + Bytes.get_uint16_be b (tcp_off - 2)
+    + 6
+    + ((tcp_len + payload) land 0xFFFF)
+  in
+  fold_checksum (ones_sum pseudo b ~off:tcp_off ~len:tcp_len)
 
-let encode_options t =
-  let buf = Buffer.create 16 in
-  List.iter
-    (fun o ->
+let max_wire_bytes = base_header + max_tcp_option_bytes
+
+(* The frame's length: headers plus the options padded to a 32-bit
+   boundary, so the data offset is expressible (the model's
+   [option_bytes] accounting stays unpadded, exactly like an skb's
+   truesize vs. wire bytes). *)
+let wire_length t =
+  let opts = pad4 (plain_option_bytes t + int_shim_bytes t) in
+  if opts > max_tcp_option_bytes then
+    invalid_arg "Packet.to_wire: options exceed the 40-byte TCP option space";
+  if 40 + opts + t.payload > 0xFFFF then
+    invalid_arg "Packet.to_wire: frame exceeds the 65535-byte IPv4 total length";
+  base_header + opts
+
+let rec write_sack b pos = function
+  | [] -> pos
+  | (s, e) :: rest ->
+    set32 b pos s;
+    set32 b (pos + 4) e;
+    write_sack b (pos + 8) rest
+
+(* Returns the position after the last option written. *)
+let rec write_options b pos = function
+  | [] -> pos
+  | o :: rest ->
+    let pos =
       match o with
       | Mss v ->
-        Buffer.add_uint8 buf 2;
-        Buffer.add_uint8 buf 4;
-        Buffer.add_uint16_be buf (v land 0xFFFF)
+        Bytes.set_uint8 b pos 2;
+        Bytes.set_uint8 b (pos + 1) 4;
+        set16 b (pos + 2) v;
+        pos + 4
       | Window_scale s ->
-        Buffer.add_uint8 buf 3;
-        Buffer.add_uint8 buf 3;
-        Buffer.add_uint8 buf (s land 0xFF)
+        Bytes.set_uint8 b pos 3;
+        Bytes.set_uint8 b (pos + 1) 3;
+        Bytes.set_uint8 b (pos + 2) (s land 0xFF);
+        pos + 3
       | Pack { total_bytes; marked_bytes } ->
-        Buffer.add_uint8 buf pack_option_kind;
-        Buffer.add_uint8 buf 8;
-        let add24 v =
-          Buffer.add_uint8 buf ((v lsr 16) land 0xFF);
-          Buffer.add_uint16_be buf (v land 0xFFFF)
-        in
-        add24 total_bytes;
-        add24 marked_bytes
+        Bytes.set_uint8 b pos pack_option_kind;
+        Bytes.set_uint8 b (pos + 1) 8;
+        set24 b (pos + 2) total_bytes;
+        set24 b (pos + 5) marked_bytes;
+        pos + 8
       | Sack blocks ->
-        Buffer.add_uint8 buf 5;
-        Buffer.add_uint8 buf (2 + (8 * List.length blocks));
-        List.iter
-          (fun (s, e) ->
-            Buffer.add_int32_be buf (Int32.of_int (s land 0xFFFFFFFF));
-            Buffer.add_int32_be buf (Int32.of_int (e land 0xFFFFFFFF)))
-          blocks)
-    t.options;
-  (* The INT shim rides after the regular options (notably after PACK on
-     AC/DC ACKs): kind, length, count byte (bit 7 = exceeded), then the
-     hops oldest-first in their quantized wire form. *)
-  if t.int_stack != [] || t.int_exceeded then begin
-    let hops = List.rev t.int_stack in
-    let n = List.length hops in
-    Buffer.add_uint8 buf Int_meta.option_kind;
-    Buffer.add_uint8 buf (Int_meta.shim_wire_bytes ~hops:n);
-    Buffer.add_uint8 buf ((if t.int_exceeded then 0x80 else 0) lor (n land 0x7F));
-    List.iter
-      (fun h ->
-        let q = Int_meta.quantize h in
-        Buffer.add_uint8 buf q.Int_meta.hop_id;
-        Buffer.add_uint8 buf q.Int_meta.port;
-        Buffer.add_int32_be buf (Int32.of_int q.Int_meta.egress_ns);
-        Buffer.add_uint16_be buf (q.Int_meta.qbytes / Int_meta.qbytes_unit);
-        Buffer.add_uint16_be buf (q.Int_meta.svc_bps / Int_meta.svc_unit))
-      hops
-  end;
-  (* Pad to a 32-bit boundary with end-of-option-list bytes so the data
-     offset is expressible; the model's [option_bytes] accounting stays
-     unpadded, exactly like an skb's truesize vs. wire bytes. *)
-  while Buffer.length buf mod 4 <> 0 do
-    Buffer.add_uint8 buf 0
-  done;
-  Buffer.contents buf
+        Bytes.set_uint8 b pos 5;
+        Bytes.set_uint8 b (pos + 1) (option_bytes o);
+        write_sack b (pos + 2) blocks
+    in
+    write_options b pos rest
 
-let to_wire t =
-  let opts = encode_options t in
-  if String.length opts > max_tcp_option_bytes then
-    invalid_arg "Packet.to_wire: options exceed the 40-byte TCP option space";
-  let tcp_len = 20 + String.length opts in
-  let ip_total = 20 + tcp_len + t.payload in
-  if ip_total > 0xFFFF then
-    invalid_arg "Packet.to_wire: frame exceeds the 65535-byte IPv4 total length";
-  let b = Bytes.make (14 + 20 + tcp_len) '\000' in
+(* [int_stack] is newest-first and the wire oldest-first, so the head
+   fills the last slot. *)
+let rec write_hops b pos slot = function
+  | [] -> ()
+  | (h : Int_meta.hop) :: older ->
+    let p = pos + (slot * Int_meta.hop_wire_bytes) in
+    Bytes.set_uint8 b p (h.hop_id land 0xFF);
+    Bytes.set_uint8 b (p + 1) (h.port land 0xFF);
+    set32 b (p + 2) (Int_meta.wire_sojourn_ns h);
+    set16 b (p + 6) (Int_meta.wire_qbytes h);
+    set16 b (p + 8) (Int_meta.wire_svc h);
+    write_hops b pos (slot - 1) older
+
+let write_wire t b ~off =
+  let len = wire_length t in
+  let tcp_len = len - 34 in
+  Bytes.fill b off len '\000';
   (* Ethernet *)
-  set_mac b 0 t.key.Flow_key.dst_ip;
-  set_mac b 6 t.key.Flow_key.src_ip;
-  set16 b 12 0x0800;
+  set_mac b off t.key.Flow_key.dst_ip;
+  set_mac b (off + 6) t.key.Flow_key.src_ip;
+  set16 b (off + 12) 0x0800;
   (* IPv4 *)
-  Bytes.set_uint8 b 14 0x45;
-  Bytes.set_uint8 b 15 (ecn_bits t.ecn);
-  set16 b 16 ip_total;
-  set16 b 18 t.id;
-  set16 b 20 0x4000 (* DF *);
-  Bytes.set_uint8 b 22 64;
-  Bytes.set_uint8 b 23 6;
-  set32 b 26 (ip_addr t.key.Flow_key.src_ip);
-  set32 b 30 (ip_addr t.key.Flow_key.dst_ip);
-  set16 b 24 (fold_checksum (ones_sum 0 b ~off:14 ~len:20));
+  Bytes.set_uint8 b (off + 14) 0x45;
+  Bytes.set_uint8 b (off + 15) (ecn_bits t.ecn);
+  set16 b (off + 16) (20 + tcp_len + t.payload);
+  set16 b (off + 18) t.id;
+  set16 b (off + 20) 0x4000 (* DF *);
+  Bytes.set_uint8 b (off + 22) 64;
+  Bytes.set_uint8 b (off + 23) 6;
+  set32 b (off + 26) (ip_addr t.key.Flow_key.src_ip);
+  set32 b (off + 30) (ip_addr t.key.Flow_key.dst_ip);
+  set16 b (off + 24) (fold_checksum (ones_sum 0 b ~off:(off + 14) ~len:20));
   (* TCP *)
-  set16 b 34 t.key.Flow_key.src_port;
-  set16 b 36 t.key.Flow_key.dst_port;
-  set32 b 38 t.seq;
-  set32 b 42 t.ack;
+  set16 b (off + 34) t.key.Flow_key.src_port;
+  set16 b (off + 36) t.key.Flow_key.dst_port;
+  set32 b (off + 38) t.seq;
+  set32 b (off + 42) t.ack;
   (* Data offset; the low reserved bit carries AC/DC's [vm_ect] (§3.2's
      "reserved bit in the TCP header"). *)
-  Bytes.set_uint8 b 46 (((tcp_len / 4) lsl 4) lor if t.vm_ect then 1 else 0);
-  Bytes.set_uint8 b 47
+  Bytes.set_uint8 b (off + 46) (((tcp_len / 4) lsl 4) lor if t.vm_ect then 1 else 0);
+  Bytes.set_uint8 b (off + 47)
     ((if t.cwr then 0x80 else 0)
     lor (if t.ece then 0x40 else 0)
     lor (if t.has_ack then 0x10 else 0)
     lor (if t.rst then 0x04 else 0)
     lor (if t.syn then 0x02 else 0)
     lor if t.fin then 0x01 else 0);
-  set16 b 48 t.rwnd_field;
-  Bytes.blit_string opts 0 b 54 (String.length opts);
-  set16 b 50 (tcp_checksum b ~tcp_off:34 ~tcp_len ~payload:t.payload);
+  set16 b (off + 48) t.rwnd_field;
+  let pos = write_options b (off + 54) t.options in
+  (* The INT shim rides after the regular options (notably after PACK on
+     AC/DC ACKs): kind, length, count byte (bit 7 = exceeded), then the
+     hops oldest-first in their quantized wire form.  The zero fill above
+     is the end-of-option-list padding. *)
+  if t.int_stack != [] || t.int_exceeded then begin
+    let n = List.length t.int_stack in
+    Bytes.set_uint8 b pos Int_meta.option_kind;
+    Bytes.set_uint8 b (pos + 1) (Int_meta.shim_wire_bytes ~hops:n);
+    Bytes.set_uint8 b (pos + 2) ((if t.int_exceeded then 0x80 else 0) lor (n land 0x7F));
+    write_hops b (pos + 3) (n - 1) t.int_stack
+  end;
+  set16 b (off + 50) (tcp_checksum b ~tcp_off:(off + 34) ~tcp_len ~payload:t.payload);
+  len
+
+let to_wire t =
+  let b = Bytes.create (wire_length t) in
+  ignore (write_wire t b ~off:0 : int);
   Bytes.unsafe_to_string b
 
 exception Wire of string
@@ -388,9 +415,8 @@ let decode_options b ~off ~len =
           for i = 0 to n - 1 do
             let p = pos + 3 + (i * Int_meta.hop_wire_bytes) in
             (* Wire hops are already quantized: sojourn lives in
-               [egress_ns] with a zero ingress, exactly what
-               [Int_meta.quantize] produces, so re-encoding is the
-               identity. *)
+               [egress_ns] with a zero ingress and the other fields are
+               whole carrier units, so re-encoding is the identity. *)
             int_stack :=
               {
                 Int_meta.hop_id = Bytes.get_uint8 b p;

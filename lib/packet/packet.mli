@@ -154,7 +154,17 @@ val to_wire : t -> string
     header, recording [wire_size] as the original length.  The TCP
     checksum is computed as if the payload were zero-filled.
 
-    @raise Invalid_argument if headers + payload exceed 65535 bytes. *)
+    @raise Invalid_argument if the options exceed the 40-byte TCP option
+    space or headers + payload exceed 65535 bytes. *)
+
+val write_wire : t -> Bytes.t -> off:int -> int
+(** [write_wire t b ~off] writes the frame [to_wire t] returns into [b]
+    at [off] and returns its length, allocating nothing.  The checks of
+    {!to_wire} run before any byte is written. *)
+
+val max_wire_bytes : int
+(** 94: the longest frame {!to_wire} can return, 54 header bytes plus the
+    full TCP option space. *)
 
 val of_wire : string -> (t, string) result
 (** Parse bytes produced by {!to_wire} (a header-snapped frame; trailing

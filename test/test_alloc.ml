@@ -5,7 +5,8 @@
    cases must allocate nothing (< 1 word/op); the end-to-end case bounds
    a whole AC/DC dumbbell, where what remains per packet is the
    [Packet.t] record, its option cells, the RTO handle and per-RTT
-   bookkeeping. *)
+   bookkeeping.  The observer cases bound enabled sinks, which may
+   allocate their output and little else. *)
 
 module Engine = Eventsim.Engine
 module Rng = Eventsim.Rng
@@ -13,6 +14,7 @@ module Time_ns = Eventsim.Time_ns
 module Timing_wheel = Eventsim.Timing_wheel
 module Packet = Dcpkt.Packet
 module Flow_key = Dcpkt.Flow_key
+module Int_meta = Dcpkt.Int_meta
 module Datapath = Vswitch.Datapath
 module Flow_table = Vswitch.Flow_table
 
@@ -34,6 +36,10 @@ let words_per_op f =
 let check_free name words =
   if not (words < 1.0) then
     Alcotest.failf "%s: %.2f minor words per op, expected < 1" name words
+
+let check_at_most limit name words =
+  if not (words <= limit) then
+    Alcotest.failf "%s: %.2f minor words per op, expected <= %g" name words limit
 
 let key = Flow_key.make ~src_ip:1 ~dst_ip:2 ~src_port:5000 ~dst_port:80
 let sink (_ : Packet.t) = ()
@@ -197,6 +203,77 @@ let test_dumbbell_ceiling () =
   if per_packet > 25.0 then
     Alcotest.failf "dumbbell: %.1f minor words per switch input, expected <= 25" per_packet
 
+(* ------------------------------------------------------------------ *)
+(* Enabled observers: an event emitted, a frame encoded or captured, an
+   INT stack absorbed.                                                 *)
+
+let test_trace_jsonl () =
+  let bytes = ref 0 in
+  let sink = Obs.Trace.jsonl ~write:(fun line -> bytes := !bytes + String.length line) in
+  (* The budget covers the event value (6 words) and the line. *)
+  check_at_most 24.0 "Trace.emit of an Enqueue into Trace.jsonl"
+    (words_per_op (fun i ->
+         Obs.Trace.emit sink ~now:(1_000_000 + i)
+           (Obs.Trace.Enqueue
+              { node = "tor0"; port = 2; pkt = i; size = 9054; qbytes = 9054 * (i land 15) })));
+  Alcotest.(check bool) "lines written" true (!bytes > 0)
+
+let hop hop_id port =
+  {
+    Int_meta.hop_id;
+    port;
+    ingress_ns = 1_000 * port;
+    egress_ns = 4_000 * port;
+    qbytes = 27_000;
+    svc_bps = 10_000_000_000;
+  }
+
+let pack_ack () =
+  let p = Packet.make ~key:(Flow_key.reverse key) ~ack:9001 ~has_ack:true ~payload:0 () in
+  Packet.set_option p (Packet.Pack { total_bytes = 9000; marked_bytes = 1000 });
+  p
+
+let int_data () =
+  let p = Packet.make ~key ~seq:1 ~has_ack:true ~ack:1 ~payload:8946 () in
+  Packet.add_int_hop p (hop (Int_meta.register ~name:"tor0") 2);
+  Packet.add_int_hop p (hop (Int_meta.register ~name:"tor1") 1);
+  p
+
+let frames () = [ ("a PACK ACK", pack_ack ()); ("a 2-hop INT data frame", int_data ()) ]
+
+let test_to_wire () =
+  List.iter
+    (fun (name, pkt) ->
+      check_at_most 14.0 ("Packet.to_wire of " ^ name)
+        (words_per_op (fun _ -> ignore (Packet.to_wire pkt : string))))
+    (frames ())
+
+let test_pcapng_capture () =
+  let bytes = ref 0 in
+  let sink =
+    Obs.Pcap.create ~format:Obs.Pcap.Pcapng ~write:(fun s -> bytes := !bytes + String.length s)
+  in
+  List.iter
+    (fun (name, pkt) ->
+      check_at_most 20.0 ("pcapng Pcap.capture of " ^ name)
+        (words_per_op (fun i -> Obs.Pcap.capture sink ~iface:"tor0:1" ~now:i pkt)))
+    (frames ());
+  Alcotest.(check int) "every frame captured" (2 * (warmup + ops)) (Obs.Pcap.frames sink)
+
+let test_int_sink () =
+  let sink = Obs.Int_sink.create () in
+  let hops = Packet.int_hops (int_data ()) in
+  check_at_most 24.0 "Int_sink.absorb of a 2-hop stack"
+    (words_per_op (fun i -> Obs.Int_sink.absorb sink ~now:i ~flow:key ~hops ~exceeded:false));
+  Alcotest.(check int) "every stack absorbed" (warmup + ops) (Obs.Int_sink.packets sink)
+
+let test_attrib_hops () =
+  let attrib = Obs.Attrib.create () in
+  Obs.Attrib.start attrib ~now:Time_ns.zero key;
+  let hops = Packet.int_hops (int_data ()) in
+  check_at_most 8.0 "Attrib.absorb_hops of a 2-hop stack"
+    (words_per_op (fun _ -> Obs.Attrib.absorb_hops attrib key hops))
+
 let () =
   Alcotest.run "alloc"
     [
@@ -209,6 +286,14 @@ let () =
           Alcotest.test_case "datapath two processors" `Quick test_datapath;
           Alcotest.test_case "switch input to an idle port" `Quick test_switch;
           Alcotest.test_case "acdc sender PACK ack" `Quick test_sender_pack_ack;
+        ] );
+      ( "observers",
+        [
+          Alcotest.test_case "trace jsonl emit" `Quick test_trace_jsonl;
+          Alcotest.test_case "wire encode" `Quick test_to_wire;
+          Alcotest.test_case "pcapng capture" `Quick test_pcapng_capture;
+          Alcotest.test_case "int sink absorb" `Quick test_int_sink;
+          Alcotest.test_case "attrib absorb hops" `Quick test_attrib_hops;
         ] );
       ( "end to end",
         [ Alcotest.test_case "acdc dumbbell words per packet" `Quick test_dumbbell_ceiling ] );

@@ -154,7 +154,9 @@ let test_trace_roundtrip () =
     Trace.Attrib_transition
       { flow; from_state = "cwnd_limited"; to_state = "rwnd_limited_enforced"; spent = 12345 }
   in
-  let line = Json.to_string (Trace.event_to_json ~now:(Time_ns.us 7) ev) in
+  let line = ref "" in
+  Trace.emit (Trace.jsonl ~write:(fun l -> line := l)) ~now:(Time_ns.us 7) ev;
+  let line = !line in
   match Result.bind (Json.of_string line) Trace.event_of_json with
   | Error msg -> Alcotest.fail (line ^ ": " ^ msg)
   | Ok (now', ev') ->

@@ -150,8 +150,9 @@ let test_jsonl_determinism () =
 
 let flow = Dcpkt.Flow_key.make ~src_ip:1 ~dst_ip:6 ~src_port:40000 ~dst_port:5001
 
-(* One value per constructor, plus one per [drop_reason] and one per
-   [impair_action] — extend this list when the event type grows. *)
+(* One value per constructor, plus one per [drop_reason], one per
+   [impair_action] and one whose string needs escaping — extend this list
+   when the event type grows. *)
 let all_events =
   let drop reason = Trace.Drop { node = "tor0"; port = 2; pkt = 1; size = 1500; reason } in
   let imp action = Trace.Impaired { link = "impair.host0.up"; pkt = 1; action } in
@@ -173,6 +174,7 @@ let all_events =
     Trace.Vswitch_drop { node = "host1"; pkt = 1; egress = true };
     Trace.Vswitch_drop { node = "host1"; pkt = 1; egress = false };
     Trace.Delivered { node = "host6"; pkt = 1 };
+    Trace.Delivered { node = "vm \"6\"\t\xc3\xa9"; pkt = 2 };
     Trace.Pack_attach { flow; pkt = 9; total = 123456; marked = 789 };
     Trace.Rwnd_rewrite { flow; pkt = 9; window = 65536; field = 0x100 };
     Trace.Alpha_update { flow; alpha = 0.0625; fraction = 0.5 };
@@ -180,17 +182,38 @@ let all_events =
     Trace.Dupack { flow; ack = 1000; count = 3 };
     Trace.Rto_fire { flow; inferred = true; count = 2 };
     Trace.Rto_fire { flow; inferred = false; count = 1 };
+    Trace.Int_hop
+      {
+        flow;
+        pkt = 9;
+        depth = 1;
+        hop = "spine0";
+        port = 3;
+        ingress = 1_000_000;
+        egress = 1_012_500;
+        qbytes = 24_000;
+        svc_bps = 10_000_000_000;
+      };
+    Trace.Int_strip { node = "host6"; flow; pkt = 9; hops = 2; exceeded = true };
+    Trace.Int_strip { node = "host6"; flow; pkt = 10; hops = 3; exceeded = false };
     Trace.Attrib_transition
       { flow; from_state = "handshake"; to_state = "cwnd_limited"; spent = 4500 };
     Trace.Attrib_transition
       { flow; from_state = "in_flight"; to_state = "complete"; spent = 250000 };
   ]
 
+(* The lines a [jsonl] sink writes for [all_events], the i-th stamped at
+   (i + 1) us. *)
+let jsonl_lines events =
+  let lines = ref [] in
+  let sink = Trace.jsonl ~write:(fun line -> lines := line :: !lines) in
+  List.iteri (fun i ev -> Trace.emit sink ~now:(Time_ns.us (i + 1)) ev) events;
+  List.rev !lines
+
 let test_event_json_roundtrip () =
   List.iteri
-    (fun i ev ->
+    (fun i (ev, line) ->
       let now = Time_ns.us (i + 1) in
-      let line = Json.to_string (Trace.event_to_json ~now ev) in
       match Json.of_string line with
       | Error msg -> Alcotest.fail (line ^ ": " ^ msg)
       | Ok json -> (
@@ -199,7 +222,45 @@ let test_event_json_roundtrip () =
         | Ok (now', ev') ->
           check_int (Trace.kind_of_event ev ^ ": timestamp") now now';
           Alcotest.(check bool) (Trace.kind_of_event ev ^ ": event") true (ev = ev')))
-    all_events
+    (List.combine all_events (jsonl_lines all_events))
+
+(* The encoding pinned byte for byte, one line per [all_events] entry. *)
+let golden_lines =
+  [
+    {|{"t":1000,"ev":"created","node":"host1","pkt":1,"flow":"1:40000>6:5001","size":1500,"kind":"data"}|};
+    {|{"t":2000,"ev":"enqueue","node":"tor0","port":2,"pkt":1,"size":1500,"qbytes":3000}|};
+    {|{"t":3000,"ev":"dequeue","node":"tor0","port":2,"pkt":1,"size":1500,"qbytes":1500}|};
+    {|{"t":4000,"ev":"drop","node":"tor0","port":2,"pkt":1,"size":1500,"reason":"no_route"}|};
+    {|{"t":5000,"ev":"drop","node":"tor0","port":2,"pkt":1,"size":1500,"reason":"buffer_full"}|};
+    {|{"t":6000,"ev":"drop","node":"tor0","port":2,"pkt":1,"size":1500,"reason":"over_threshold"}|};
+    {|{"t":7000,"ev":"drop","node":"tor0","port":2,"pkt":1,"size":1500,"reason":"wred"}|};
+    {|{"t":8000,"ev":"drop","node":"host6","port":-1,"pkt":1,"size":1500,"reason":"no_endpoint"}|};
+    {|{"t":9000,"ev":"ce_mark","node":"tor0","port":2,"pkt":1,"qbytes":90000}|};
+    {|{"t":10000,"ev":"impaired","link":"impair.host0.up","pkt":1,"action":"lost"}|};
+    {|{"t":11000,"ev":"impaired","link":"impair.host0.up","pkt":1,"action":"corrupted"}|};
+    {|{"t":12000,"ev":"impaired","link":"impair.host0.up","pkt":1,"action":"duplicated","copy":42}|};
+    {|{"t":13000,"ev":"impaired","link":"impair.host0.up","pkt":1,"action":"pack_stripped"}|};
+    {|{"t":14000,"ev":"impaired","link":"impair.host0.up","pkt":1,"action":"reordered"}|};
+    {|{"t":15000,"ev":"vswitch_drop","node":"host1","pkt":1,"dir":"egress"}|};
+    {|{"t":16000,"ev":"vswitch_drop","node":"host1","pkt":1,"dir":"ingress"}|};
+    {|{"t":17000,"ev":"delivered","node":"host6","pkt":1}|};
+    "{\"t\":18000,\"ev\":\"delivered\",\"node\":\"vm \\\"6\\\"\\t\xc3\xa9\",\"pkt\":2}";
+    {|{"t":19000,"ev":"pack_attach","flow":"1:40000>6:5001","pkt":9,"total":123456,"marked":789}|};
+    {|{"t":20000,"ev":"rwnd_rewrite","flow":"1:40000>6:5001","pkt":9,"window":65536,"field":256}|};
+    {|{"t":21000,"ev":"alpha_update","flow":"1:40000>6:5001","alpha":0.0625,"fraction":0.5}|};
+    {|{"t":22000,"ev":"policer_drop","flow":"1:40000>6:5001","pkt":9,"seq":1000,"window":20000}|};
+    {|{"t":23000,"ev":"dupack","flow":"1:40000>6:5001","ack":1000,"count":3}|};
+    {|{"t":24000,"ev":"rto","flow":"1:40000>6:5001","inferred":true,"count":2}|};
+    {|{"t":25000,"ev":"rto","flow":"1:40000>6:5001","inferred":false,"count":1}|};
+    {|{"t":26000,"ev":"int_hop","flow":"1:40000>6:5001","pkt":9,"depth":1,"hop":"spine0","port":3,"ingress":1000000,"egress":1012500,"qbytes":24000,"svc_bps":10000000000}|};
+    {|{"t":27000,"ev":"int_strip","node":"host6","flow":"1:40000>6:5001","pkt":9,"hops":2,"exceeded":true}|};
+    {|{"t":28000,"ev":"int_strip","node":"host6","flow":"1:40000>6:5001","pkt":10,"hops":3,"exceeded":false}|};
+    {|{"t":29000,"ev":"attrib","flow":"1:40000>6:5001","from":"handshake","to":"cwnd_limited","spent":4500}|};
+    {|{"t":30000,"ev":"attrib","flow":"1:40000>6:5001","from":"in_flight","to":"complete","spent":250000}|};
+  ]
+
+let test_event_json_golden () =
+  Alcotest.(check (list string)) "jsonl lines" golden_lines (jsonl_lines all_events)
 
 let test_event_json_rejects () =
   List.iter
@@ -409,6 +470,15 @@ let test_json_deep_nesting () =
   Alcotest.(check bool) "256-deep array round-trips" true
     (parse_ok (Json.to_string towers) = towers)
 
+let test_json_int_digits () =
+  (* The digit writer must print exactly what [string_of_int] prints,
+     including the one int whose negation overflows. *)
+  let powers = List.init 19 (fun i -> int_of_float (10. ** float_of_int i)) in
+  List.iter
+    (fun i -> check_string (string_of_int i) (string_of_int i) (Json.to_string (Json.Int i)))
+    ([ 0; 1; -1; 9; -9; max_int; min_int; min_int + 1 ]
+    @ List.concat_map (fun p -> [ p; p - 1; -p; 1 - p ]) powers)
+
 let test_json_non_finite () =
   (* The emitter writes non-finite floats as null (JSON has no NaN), so
      a document containing them still parses — as Null. *)
@@ -456,6 +526,7 @@ let () =
       ( "events",
         [
           Alcotest.test_case "json roundtrip (all constructors)" `Quick test_event_json_roundtrip;
+          Alcotest.test_case "golden jsonl lines" `Quick test_event_json_golden;
           Alcotest.test_case "json rejects malformed" `Quick test_event_json_rejects;
           Alcotest.test_case "kind filter" `Quick test_kind_filter;
           Alcotest.test_case "flow filter" `Quick test_flow_filter;
@@ -467,6 +538,7 @@ let () =
           Alcotest.test_case "escaping" `Quick test_json_escaping;
           Alcotest.test_case "parser" `Quick test_json_parser;
           Alcotest.test_case "deeply nested escapes round-trip" `Quick test_json_deep_nesting;
+          Alcotest.test_case "ints print as string_of_int" `Quick test_json_int_digits;
           Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
         ] );
     ]

@@ -2,6 +2,7 @@ module Engine = Eventsim.Engine
 module Time_ns = Eventsim.Time_ns
 module Packet = Dcpkt.Packet
 module Flow_key = Dcpkt.Flow_key
+module Int_meta = Dcpkt.Int_meta
 module Pcap = Obs.Pcap
 
 let check_int = Alcotest.(check int)
@@ -37,52 +38,154 @@ let roundtrip ?(check_fields = true) label (p : Packet.t) =
       check_bool (label ^ ": options") true (p.Packet.options = q.Packet.options)
     end
 
-let test_wire_roundtrip () =
+let hop ~hop_id ~port ~ingress_ns ~egress_ns ~qbytes ~svc_bps =
+  { Int_meta.hop_id; port; ingress_ns; egress_ns; qbytes; svc_bps }
+
+(* Every frame shape the encoder has a branch for, built in a fixed order
+   after [reset_ids] so the ids (and so the wire bytes) are deterministic. *)
+let wire_matrix () =
   Packet.reset_ids ();
+  let frames = ref [] in
+  let add ?(check_fields = true) label p = frames := (label, check_fields, p) :: !frames in
   (* Every IP ECN codepoint on a full-size data segment. *)
   List.iter
-    (fun (label, ecn) -> roundtrip label (Packet.make ~key ~seq:1000 ~ecn ~payload:1448 ()))
+    (fun (label, ecn) -> add label (Packet.make ~key ~seq:1000 ~ecn ~payload:1448 ()))
     [
       ("not-ect", Packet.Not_ect);
       ("ect0", Packet.Ect0);
       ("ect1", Packet.Ect1);
       ("ce", Packet.Ce);
     ];
-  roundtrip "syn with mss+wscale"
+  add "syn with mss+wscale"
     (Packet.make ~key ~syn:true
        ~options:[ Packet.Mss 8960; Packet.Window_scale 9 ]
        ~payload:0 ());
-  roundtrip "syn-ack"
+  add "syn-ack"
     (Packet.make ~key:(Flow_key.reverse key) ~syn:true ~has_ack:true ~ack:1
        ~options:[ Packet.Mss 1448; Packet.Window_scale 7 ]
        ~payload:0 ());
-  roundtrip "pack ack"
+  add "pack ack"
     (Packet.make ~key:(Flow_key.reverse key) ~ack:123456 ~has_ack:true ~rwnd_field:0x1234
        ~options:[ Packet.Pack { total_bytes = 1_000_000; marked_bytes = 65_535 } ]
        ~payload:0 ());
-  roundtrip "sack ack"
+  add "sack ack"
     (Packet.make ~key:(Flow_key.reverse key) ~ack:1000 ~has_ack:true
        ~options:[ Packet.Sack [ (1000, 2448); (5000, 6448); (9000, 10448) ] ]
        ~payload:0 ());
-  roundtrip "pack + sack together"
+  add "pack + sack together"
     (Packet.make ~key:(Flow_key.reverse key) ~ack:1000 ~has_ack:true
        ~options:
          [ Packet.Pack { total_bytes = 42; marked_bytes = 7 }; Packet.Sack [ (1000, 2448) ] ]
        ~payload:0 ());
-  roundtrip "fin-ack" (Packet.make ~key ~seq:77 ~ack:88 ~fin:true ~has_ack:true ~payload:0 ());
-  roundtrip "rst" (Packet.make ~key ~rst:true ~payload:0 ());
+  add "fin-ack" (Packet.make ~key ~seq:77 ~ack:88 ~fin:true ~has_ack:true ~payload:0 ());
+  add "rst" (Packet.make ~key ~rst:true ~payload:0 ());
   (* Mutable flag bits the vSwitch rewrites in place. *)
   let p = Packet.make ~key ~seq:1 ~ecn:Packet.Ce ~payload:9000 () in
   p.Packet.ece <- true;
   p.Packet.cwr <- true;
   p.Packet.vm_ect <- true;
-  roundtrip "ece+cwr+vm_ect" p;
+  add "ece+cwr+vm_ect" p;
   (* PACK counters wrap at 2^24 on the wire: bytes still round-trip even
      though the decoded counter is reduced mod 2^24. *)
-  roundtrip ~check_fields:false "pack counter wrap"
+  add ~check_fields:false "pack counter wrap"
     (Packet.make ~key:(Flow_key.reverse key) ~ack:1 ~has_ack:true
        ~options:[ Packet.Pack { total_bytes = 0x1_234_567; marked_bytes = 0x1_000_001 } ]
-       ~payload:0 ())
+       ~payload:0 ());
+  (* Two stamped hops; the second saturates its queue-depth field. *)
+  let p = Packet.make ~key ~seq:4097 ~ack:1 ~has_ack:true ~ecn:Packet.Ect0 ~payload:1448 () in
+  Packet.add_int_hop p
+    (hop ~hop_id:3 ~port:1 ~ingress_ns:1_000 ~egress_ns:13_500 ~qbytes:30_000
+       ~svc_bps:10_000_000_000);
+  Packet.add_int_hop p
+    (hop ~hop_id:7 ~port:2 ~ingress_ns:20_000 ~egress_ns:21_200 ~qbytes:20_000_000
+       ~svc_bps:40_000_000_000);
+  add "data with 2 int hops" p;
+  (* A PACK ACK has room for two hops: the third sets the exceeded flag. *)
+  let p =
+    Packet.make ~key:(Flow_key.reverse key) ~ack:4097 ~has_ack:true
+      ~options:[ Packet.Pack { total_bytes = 4096; marked_bytes = 1448 } ]
+      ~payload:0 ()
+  in
+  List.iter
+    (fun hop_id ->
+      Packet.add_int_hop p
+        (hop ~hop_id ~port:hop_id ~ingress_ns:0 ~egress_ns:(hop_id * 1_000) ~qbytes:512
+           ~svc_bps:10_000_000_000))
+    [ 5; 6; 9 ];
+  add "pack ack, int exceeded" p;
+  List.rev !frames
+
+let test_wire_roundtrip () =
+  List.iter (fun (label, check_fields, p) -> roundtrip ~check_fields label p) (wire_matrix ())
+
+let to_hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* The encoder's output, pinned byte for byte: the round-trip above would
+   still pass after a change made identically to both directions. *)
+let golden_wires =
+  [
+    ( "not-ect",
+      "0200000000090200000000030800450005d0000140004006211c0a0000030a00\
+       00099d811389000003e8000000005000ffffe13e0000" );
+    ( "ect0",
+      "0200000000090200000000030800450205d000024000400621190a0000030a00\
+       00099d811389000003e8000000005000ffffe13e0000" );
+    ( "ect1",
+      "0200000000090200000000030800450105d000034000400621190a0000030a00\
+       00099d811389000003e8000000005000ffffe13e0000" );
+    ( "ce",
+      "0200000000090200000000030800450305d000044000400621160a0000030a00\
+       00099d811389000003e8000000005000ffffe13e0000" );
+    ( "syn with mss+wscale",
+      "02000000000902000000000308004500003000054000400626b80a0000030a00\
+       00099d81138900000000000000007002ffff99bd00000204230003030900" );
+    ( "syn-ack",
+      "02000000000302000000000908004500003000064000400626b70a0000090a00\
+       000313899d8100000000000000017012ffffb9040000020405a803030700" );
+    ( "pack ack",
+      "02000000000302000000000908004500003000074000400626b60a0000090a00\
+       000313899d81000000000001e2407010123489f50000fd080f424000ffff" );
+    ( "sack ack",
+      "02000000000302000000000908004500004400084000400626a10a0000090a00\
+       000313899d8100000000000003e8c010ffffeb770000051a000003e800000990\
+       000013880000193000002328000028d00000" );
+    ( "pack + sack together",
+      "02000000000302000000000908004500003c00094000400626a80a0000090a00\
+       000313899d8100000000000003e8a010ffff5d300000fd0800002a000007050a\
+       000003e8000009900000" );
+    ( "fin-ack",
+      "020000000009020000000003080045000028000a4000400626bb0a0000030a00\
+       00099d8113890000004d000000585011ffffea180000" );
+    ( "rst",
+      "020000000009020000000003080045000028000b4000400626ba0a0000030a00\
+       00099d81138900000000000000005004ffffeaca0000" );
+    ( "ece+cwr+vm_ect",
+      "020000000009020000000003080045032350000c40004006038e0a0000030a00\
+       00099d811389000000010000000051c0ffffc5e50000" );
+    ( "pack counter wrap",
+      "020000000003020000000009080045000030000d4000400626b00a0000090a00\
+       000313899d8100000000000000017010ffff43660000fd08234567000001" );
+    ( "data with 2 int hops",
+      "0200000000090200000000030800450205e8000e4000400620f50a0000030a00\
+       00099d8113890000100100000001b010fffff0900000fe17020301000030d400\
+       7503e80702000004b0ffff0fa000" );
+    ( "pack ack, int exceeded",
+      "020000000003020000000009080045000048000f4000400626960a0000090a00\
+       000313899d810000000000001001d010ffff00860000fd080010000005a8fe17\
+       82050500001388000203e8060600001770000203e800" );
+  ]
+
+let test_wire_golden () =
+  let frames = wire_matrix () in
+  check_bool "exceeded flag exercised" true
+    (List.exists (fun (_, _, p) -> p.Packet.int_exceeded) frames);
+  check_int "one golden frame per matrix entry" (List.length frames) (List.length golden_wires);
+  List.iter2
+    (fun (label, _, p) (label', hex) ->
+      check_string "matrix order" label label';
+      check_string (label ^ ": wire bytes") hex (to_hex (Packet.to_wire p)))
+    frames golden_wires
 
 let test_wire_errors () =
   Packet.reset_ids ();
@@ -165,6 +268,54 @@ let test_pcapng () =
       (List.length
          (List.sort_uniq compare (List.filter_map (fun f -> f.Pcap.iface) frames)))
 
+(* The full byte streams of [sample_packets]: file or section header,
+   interface blocks in first-capture order, then one record per frame. *)
+let golden_classic =
+  "4d3cb2a102000400000000000000000000000400010000000000000088130000\
+   36000000de0500000200000000090200000000030800450205d0000340004006\
+   21180a0000030a0000099d81138900000001000000005000ffffe52500000000\
+   000080841e003e0000003e000000020000000003020000000009080045000030\
+   00024000400626bb0a0000090a00000313899d8100000000000005a97010ffff\
+   1fff0000fd080005a8000000030000000065cd1d360000005e23000002000000\
+   000902000000000308004503235000014000400603990a0000030a0000099d81\
+   1389000005a9000000005000ffffc1fd0000"
+
+let golden_pcapng =
+  "0a0d0d0a1c0000004d3c2b1a01000000ffffffffffffffff1c00000001000000\
+   2c000000010000000000040002000600746f72303a3100000900010009000000\
+   000000002c000000060000005800000000000000000000008813000036000000\
+   de0500000200000000090200000000030800450205d000034000400621180a00\
+   00030a0000099d81138900000001000000005000ffffe5250000000058000000\
+   010000002c000000010000000000040002000800686f7374332e766d09000100\
+   09000000000000002c0000000600000060000000010000000000000080841e00\
+   3e0000003e000000020000000003020000000009080045000030000240004006\
+   26bb0a0000090a00000313899d8100000000000005a97010ffff1fff0000fd08\
+   0005a80000000000600000000600000058000000000000000000000000c39dd0\
+   360000005e230000020000000009020000000003080045032350000140004006\
+   03990a0000030a0000099d811389000005a9000000005000ffffc1fd00000000\
+   58000000"
+
+let test_golden_streams () =
+  let classic, _ = write_capture Pcap.Pcap (sample_packets ()) in
+  let ng, _ = write_capture Pcap.Pcapng (sample_packets ()) in
+  check_string "classic pcap bytes" golden_classic (to_hex classic);
+  check_string "pcapng bytes" golden_pcapng (to_hex ng)
+
+let test_rejected_frame_writes_nothing () =
+  List.iter
+    (fun format ->
+      let buf = Buffer.create 64 in
+      let sink = Pcap.create ~format ~write:(Buffer.add_string buf) in
+      let header = Buffer.contents buf in
+      check_bool "oversized frame rejected" true
+        (try
+           Pcap.capture sink ~iface:"new-tap" ~now:1 (Packet.make ~key ~payload:70_000 ());
+           false
+         with Invalid_argument _ -> true);
+      check_int "nothing counted" 0 (Pcap.frames sink);
+      check_string "nothing written after the header" header (Buffer.contents buf))
+    [ Pcap.Pcap; Pcap.Pcapng ]
+
 let test_read_rejects_garbage () =
   List.iter
     (fun s -> check_bool "rejected" true (Result.is_error (Pcap.read s)))
@@ -239,12 +390,16 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "roundtrip matrix" `Quick test_wire_roundtrip;
+          Alcotest.test_case "golden wire bytes" `Quick test_wire_golden;
           Alcotest.test_case "error handling" `Quick test_wire_errors;
         ] );
       ( "files",
         [
           Alcotest.test_case "classic pcap" `Quick test_pcap_classic;
           Alcotest.test_case "pcapng interfaces" `Quick test_pcapng;
+          Alcotest.test_case "golden byte streams" `Quick test_golden_streams;
+          Alcotest.test_case "rejected frame writes nothing" `Quick
+            test_rejected_frame_writes_nothing;
           Alcotest.test_case "garbage rejected" `Quick test_read_rejects_garbage;
         ] );
       ( "run",
