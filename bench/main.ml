@@ -136,29 +136,6 @@ let cpu_tests () =
   in
   Test.make_grouped ~name:"datapath" tests
 
-(* Satellite microbenchmark: the same AC/DC sender-side op with the
-   profiler compiled in but off ("disabled": what every normal run pays,
-   one load-and-branch per hook) and with span collection on ("enabled").
-   The disabled row must track the plain datapath rows — that is the
-   zero-overhead claim CI enforces via the < 2% ns_per_op gate. *)
-let profiler_tests () =
-  let open Bechamel in
-  let flows = 1_000 in
-  let setup_off = make_sender_setup ~flows ~with_acdc:true in
-  let setup_on = make_sender_setup ~flows ~with_acdc:true in
-  Test.make_grouped ~name:"profiler"
-    [
-      Test.make
-        ~name:(Printf.sprintf "disabled/%05d-flows" flows)
-        (Staged.stage (sender_side setup_off));
-      Test.make
-        ~name:(Printf.sprintf "enabled/%05d-flows" flows)
-        (Staged.stage (fun () ->
-             Obs.Prof.on := true;
-             sender_side setup_on ();
-             Obs.Prof.on := false));
-    ]
-
 (* Steady-state event-queue churn.  Each op schedules one future event and
    fires one — the queue holds a fixed number of pending events
    throughout, and the delays cycle through a fixed pattern spanning every
@@ -214,21 +191,11 @@ let run_cpu_bench ?(quota = 0.5) () =
     Hashtbl.fold (fun name ols acc -> (name, value ols) :: acc) results []
   in
   let rows =
-    bench_rows (cpu_tests ()) @ bench_rows (profiler_tests ()) @ bench_rows (scheduler_tests ())
+    bench_rows (cpu_tests ()) @ bench_rows (scheduler_tests ())
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   cpu_rows := rows;
   List.iter (fun (name, v) -> Format.printf "  %-44s %10.0f ns/op@." name v) rows;
-  (match
-     ( List.assoc_opt "profiler/disabled/01000-flows" rows,
-       List.assoc_opt "profiler/enabled/01000-flows" rows )
-   with
-  | Some off, Some on ->
-    Format.printf
-      "  profiler: disabled %6.0f ns/op, enabled %6.0f ns/op (spans add %.0f ns, +%.1f%%)@." off
-      on (on -. off)
-      (100.0 *. (on -. off) /. Float.max 1.0 off)
-  | _ -> ());
   let find side scheme flows =
     List.assoc_opt (Printf.sprintf "datapath/%s/%s/%05d-flows" side scheme flows) rows
   in

@@ -39,20 +39,10 @@ let write_report ~path runs =
       Obs.Report.add_scalar report (id ^ ".events_per_sec")
         (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0))
     runs;
-  (* The ambient registry holds the last experiment's counters (timed_run
-     resets between runs); the per-experiment snapshots live in the
-     sidecars written by --metrics-out.  Likewise the profile section:
-     per-experiment profiles ride in the sidecars. *)
-  Obs.Report.set_metrics report (Obs.Runtime.metrics ());
-  if Obs.Prof.touched () then begin
-    Obs.Report.set_profile report (Obs.Prof.to_json ());
-    List.iter (fun (key, v) -> Obs.Report.add_scalar report key v) (Obs.Prof.baselines ())
-  end;
-  let sink = Obs.Runtime.int_sink () in
-  if Obs.Int_sink.touched sink then Obs.Report.set_int report (Obs.Int_sink.to_json sink);
-  let attrib = Obs.Runtime.attrib () in
-  if Obs.Attrib.touched attrib then
-    Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib);
+  (* The ambient observers hold the last experiment's state (timed_run
+     resets between runs); the per-experiment snapshots and profiles ride
+     in the sidecars written by --metrics-out. *)
+  Experiments.Harness.add_observer_sections report;
   Obs.Report.write report ~path
 
 open Cmdliner
@@ -103,7 +93,7 @@ let metrics_arg =
 
 let profile_arg =
   let doc =
-    "Profile the run: per-subsystem span counts, wall time and allocation words are added to \
+    "Profile the run: per-layer span counts, wall time and allocation words are added to \
      --report / --metrics-out output, and flamegraph-compatible folded stacks are written to \
      $(docv) (default 'profile.folded' when the flag is given bare)."
   in

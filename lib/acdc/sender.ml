@@ -518,9 +518,6 @@ let flow_window t key =
 let flow_alpha t key =
   Option.map (fun flow -> flow.alpha) (Vswitch.Flow_table.find t.table key)
 
-let flow_inflight t key =
-  Option.map (fun flow -> flow.snd_nxt - flow.snd_una) (Vswitch.Flow_table.find t.table key)
-
 type flow_state = {
   fs_key : Flow_key.t;
   fs_snd_una : int;

@@ -32,9 +32,6 @@ val flow_window : t -> Dcpkt.Flow_key.t -> int option
 
 val flow_alpha : t -> Dcpkt.Flow_key.t -> float option
 
-val flow_inflight : t -> Dcpkt.Flow_key.t -> int option
-(** Unacknowledged bytes ([snd_nxt - snd_una]) of a tracked flow. *)
-
 (** A consistency snapshot of one tracked flow, for invariant checkers:
     the connection-tracking cursors (§3.1), the enforced window, the
     16-bit field it scales into, and the negotiated shift. *)

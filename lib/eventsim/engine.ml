@@ -172,15 +172,10 @@ let dispatch t ev =
   t.fired <- t.fired + 1;
   incr all_fired;
   if !Profcore.on then begin
-    (* Dispatch is attributed per event kind; the try keeps the span
-       stack balanced when a callback raises (tests do), unwinding any
-       frames an aborted inner span left behind. *)
-    let site =
-      match ev.kind with
-      | 1 -> Profcore.Site.engine_timer
-      | _ -> Profcore.Site.engine_callback
-    in
-    let tok = Profcore.enter site in
+    (* The try keeps the span stack balanced when a callback raises (tests
+       do), unwinding any frames an aborted inner span left behind. *)
+    Profcore.note_pending (Timing_wheel.length t.queue);
+    let tok = Profcore.enter Profcore.Site.eventsim_engine in
     (try fire t ev
      with e ->
        Profcore.leave tok;

@@ -154,7 +154,7 @@ let insert t c =
     t.bitmaps.(l) <- t.bitmaps.(l) lor (1 lsl slot)
   end
 
-let push_unprofiled t ~time value =
+let push t ~time value =
   if time < t.cur then
     invalid_arg
       (Printf.sprintf "Timing_wheel.push: time %d is before the wheel position %d" time t.cur);
@@ -162,15 +162,6 @@ let push_unprofiled t ~time value =
   t.seq <- t.seq + 1;
   insert t c;
   t.len <- t.len + 1
-
-let push t ~time value =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.heap_push in
-    push_unprofiled t ~time value;
-    Profcore.note_heap_depth t.len;
-    Profcore.leave tok
-  end
-  else push_unprofiled t ~time value
 
 (* Detach the first occupied slot of level [l] and re-insert its cells at
    lower levels after advancing [cur] to the slot's window base. *)
@@ -273,16 +264,7 @@ let pop_until_or t ~limit ~none =
     v
   end
 
-let pop_or_unprofiled t ~none = pop_until_or t ~limit:max_int ~none
-
-let pop_or t ~none =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.heap_pop in
-    let r = pop_or_unprofiled t ~none in
-    Profcore.leave tok;
-    r
-  end
-  else pop_or_unprofiled t ~none
+let pop_or t ~none = pop_until_or t ~limit:max_int ~none
 
 let pop_until t ~limit =
   let c = extract t ~limit in

@@ -76,6 +76,17 @@ let finish_timeseries ts =
   Obs.Timeseries.stop ts;
   Obs.Runtime.export_timeseries ts
 
+let add_observer_sections report =
+  Obs.Report.set_metrics report (Obs.Runtime.metrics ());
+  if Obs.Prof.touched () then begin
+    Obs.Report.set_profile report (Obs.Prof.to_json ());
+    List.iter (fun (key, v) -> Obs.Report.add_scalar report key v) (Obs.Prof.baselines ())
+  end;
+  let sink = Obs.Runtime.int_sink () in
+  if Obs.Int_sink.touched sink then Obs.Report.set_int report (Obs.Int_sink.to_json sink);
+  let attrib = Obs.Runtime.attrib () in
+  if Obs.Attrib.touched attrib then Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib)
+
 let report_of_run ~id ?scheme ?(config = []) ?goodputs ?timeseries () =
   let report = Obs.Report.create ~id () in
   (match scheme with
@@ -87,17 +98,8 @@ let report_of_run ~id ?scheme ?(config = []) ?goodputs ?timeseries () =
     Obs.Report.add_int report "flows" (List.length tputs);
     Obs.Report.add_scalar report "aggregate_goodput_gbps" (List.fold_left ( +. ) 0.0 tputs)
   | None -> ());
-  Obs.Report.set_metrics report (Obs.Runtime.metrics ());
+  add_observer_sections report;
   (match timeseries with Some ts -> Obs.Report.embed_timeseries report ts | None -> ());
-  if Obs.Prof.touched () then begin
-    Obs.Report.set_profile report (Obs.Prof.to_json ());
-    List.iter (fun (key, v) -> Obs.Report.add_scalar report key v) (Obs.Prof.baselines ())
-  end;
-  let sink = Obs.Runtime.int_sink () in
-  if Obs.Int_sink.touched sink then Obs.Report.set_int report (Obs.Int_sink.to_json sink);
-  let attrib = Obs.Runtime.attrib () in
-  if Obs.Attrib.touched attrib then
-    Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib);
   report
 
 (* ------------------------------------------------------------------ *)

@@ -51,6 +51,12 @@ val finish_timeseries : Obs.Timeseries.t -> unit
     export CSVs if the ambient {!Obs.Runtime} time-series sink is set.
     Call once the run is over, before tearing the topology down. *)
 
+val add_observer_sections : Obs.Report.t -> unit
+(** Attach what the ambient observers ({!Obs.Runtime}) gathered during the
+    run: the metrics snapshot, then — each only when it recorded anything —
+    the [profile] section plus its three baseline scalars, the [int]
+    section and the [fct_attrib] section. *)
+
 val report_of_run :
   id:string ->
   ?scheme:scheme ->
@@ -61,8 +67,8 @@ val report_of_run :
   Obs.Report.t
 (** Assemble a {!Obs.Report} from a finished run: scheme label and extra
     [config] pairs, flow count plus [aggregate_goodput_gbps] from
-    [goodputs], a snapshot of the ambient metrics registry, and the run's
-    time-series embedded.  Callers add run-specific scalars and percentile
+    [goodputs], the {!add_observer_sections}, and the run's time-series
+    embedded.  Callers add run-specific scalars and percentile
     summaries on the result before writing it. *)
 
 (** {2 Output helpers} *)

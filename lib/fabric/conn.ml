@@ -13,6 +13,17 @@ type t = {
   mutable established_cbs : (unit -> unit) list;
 }
 
+(* The [fabric.conn] profiler span around a connection-lifecycle call.
+   Callers pass a top-level function and its argument, so profiling off
+   builds no closure. *)
+let in_span f x =
+  if !Profcore.on then begin
+    let tok = Profcore.enter Profcore.Site.fabric_conn in
+    f x;
+    Profcore.leave tok
+  end
+  else f x
+
 let establish ~src ~dst ?(config = Tcp.Endpoint.default_config) ?server_config ?at () =
   let engine = Host.engine src in
   let server_config = Option.value server_config ~default:config in
@@ -34,10 +45,11 @@ let establish ~src ~dst ?(config = Tcp.Endpoint.default_config) ?server_config ?
       t.established <- true;
       let cbs = List.rev t.established_cbs in
       t.established_cbs <- [];
-      List.iter (fun f -> f ()) cbs);
+      List.iter (fun f -> in_span f ()) cbs);
   (match at with
   | None -> Tcp.Endpoint.connect client
-  | Some time -> Engine.schedule engine ~at:time (fun () -> Tcp.Endpoint.connect client));
+  | Some time ->
+    Engine.schedule engine ~at:time (fun () -> in_span Tcp.Endpoint.connect client));
   t
 
 let client t = t.client
@@ -63,8 +75,10 @@ let goodput_gbps t ~over =
 
 let close t = Tcp.Endpoint.close t.client
 
+let unregister t =
+  Host.unregister_endpoint t.src t.client;
+  Host.unregister_endpoint t.dst t.server
+
 let teardown t ~after =
   close t;
-  Engine.schedule_after t.engine ~delay:after (fun () ->
-      Host.unregister_endpoint t.src t.client;
-      Host.unregister_endpoint t.dst t.server)
+  Engine.schedule_after t.engine ~delay:after (fun () -> in_span unregister t)

@@ -31,6 +31,8 @@ let vm_tap t pkt =
   if Obs.Pcap.enabled t.pcap then
     Obs.Pcap.capture t.pcap ~iface:t.vm_iface ~now:(Engine.now t.engine) pkt
 
+(* Profiler spans open here, where the host hands a packet from one
+   ledger layer to the next ([Profcore]); the layers carry none. *)
 let demux t (pkt : Packet.t) =
   vm_tap t pkt;
   match Flow_key.Table.find t.endpoints pkt.Packet.key with
@@ -38,7 +40,12 @@ let demux t (pkt : Packet.t) =
     if Obs.Trace.enabled t.tracer then
       Obs.Trace.emit t.tracer ~now:(Engine.now t.engine)
         (Obs.Trace.Delivered { node = t.name; pkt = pkt.Packet.id });
-    Tcp.Endpoint.input endpoint pkt
+    if !Profcore.on then begin
+      let tok = Profcore.enter Profcore.Site.tcp_endpoint in
+      Tcp.Endpoint.input endpoint pkt;
+      Profcore.leave tok
+    end
+    else Tcp.Endpoint.input endpoint pkt
   | exception Not_found ->
     t.no_route_drops <- t.no_route_drops + 1;
     if Obs.Trace.enabled t.tracer then
@@ -51,6 +58,14 @@ let demux t (pkt : Packet.t) =
              size = Packet.wire_size pkt;
              reason = Obs.Trace.No_endpoint;
            })
+
+let emit t pkt =
+  if !Profcore.on then begin
+    let tok = Profcore.enter Profcore.Site.netsim_txq in
+    t.nic pkt;
+    Profcore.leave tok
+  end
+  else t.nic pkt
 
 let create engine ~ip ?acdc () =
   let name = Printf.sprintf "host%d" ip in
@@ -83,7 +98,7 @@ let create engine ~ip ?acdc () =
       no_route_drops = 0;
     }
   in
-  t.emit_fn <- (fun p -> t.nic p);
+  t.emit_fn <- (fun p -> emit t p);
   t.demux_fn <- (fun p -> demux t p);
   Option.iter (fun instance -> Acdc.set_vm_injector instance t.demux_fn) acdc;
   t
@@ -96,7 +111,12 @@ let set_nic t f = t.nic <- f
 
 let egress t pkt =
   vm_tap t pkt;
-  Vswitch.Datapath.process_egress t.datapath pkt ~emit:t.emit_fn
+  if !Profcore.on then begin
+    let tok = Profcore.enter Profcore.Site.vswitch_datapath in
+    Vswitch.Datapath.process_egress t.datapath pkt ~emit:t.emit_fn;
+    Profcore.leave tok
+  end
+  else Vswitch.Datapath.process_egress t.datapath pkt ~emit:t.emit_fn
 
 (* The INT strip point: the receiving vSwitch removes the telemetry stack
    before the datapath modules or the guest see the packet (the VM tap in
@@ -140,7 +160,12 @@ let strip_int t (pkt : Packet.t) =
 
 let deliver t pkt =
   if pkt.Packet.int_stack != [] || pkt.Packet.int_exceeded then strip_int t pkt;
-  Vswitch.Datapath.process_ingress t.datapath pkt ~deliver:t.demux_fn
+  if !Profcore.on then begin
+    let tok = Profcore.enter Profcore.Site.vswitch_datapath in
+    Vswitch.Datapath.process_ingress t.datapath pkt ~deliver:t.demux_fn;
+    Profcore.leave tok
+  end
+  else Vswitch.Datapath.process_ingress t.datapath pkt ~deliver:t.demux_fn
 
 let register_endpoint t endpoint =
   Flow_key.Table.replace t.endpoints (Flow_key.reverse (Tcp.Endpoint.key endpoint)) endpoint

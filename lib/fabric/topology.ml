@@ -46,6 +46,16 @@ let impaired imp engine ~name deliver =
   | Some (config, rng) ->
     Netsim.Impair.wrap engine ~name ~rng:(Eventsim.Rng.split rng) ~config deliver
 
+(* A link's delivery into a switch: the [netsim.switch] profiler span, so
+   switch-port enqueues count in it too. *)
+let switch_input switch pkt =
+  if !Profcore.on then begin
+    let tok = Profcore.enter Profcore.Site.netsim_switch in
+    Netsim.Switch.input switch pkt;
+    Profcore.leave tok
+  end
+  else Netsim.Switch.input switch pkt
+
 let attach engine params rng imp switch host =
   let rate_bps = params.Params.link_rate_bps and prop_delay = params.Params.link_delay in
   let nic_rate = Option.value params.Params.nic_rate_bps ~default:rate_bps in
@@ -57,7 +67,7 @@ let attach engine params rng imp switch host =
       ~deliver:
         (impaired imp engine
            ~name:(Printf.sprintf "host%d.up" ip)
-           (fun pkt -> Netsim.Switch.input switch pkt))
+           (fun pkt -> switch_input switch pkt))
   in
   Host.set_nic host (Netsim.Txq.enqueue nic);
   let port =
@@ -80,7 +90,7 @@ let trunk engine params rng imp sw_a sw_b =
       ~deliver:
         (impaired imp engine
            ~name:(Printf.sprintf "trunk.%s-%s" name_a name_b)
-           (fun pkt -> Netsim.Switch.input sw_b pkt))
+           (fun pkt -> switch_input sw_b pkt))
       ()
   in
   let port_b =
@@ -88,7 +98,7 @@ let trunk engine params rng imp sw_a sw_b =
       ~deliver:
         (impaired imp engine
            ~name:(Printf.sprintf "trunk.%s-%s" name_b name_a)
-           (fun pkt -> Netsim.Switch.input sw_a pkt))
+           (fun pkt -> switch_input sw_a pkt))
       ()
   in
   (port_a, port_b)

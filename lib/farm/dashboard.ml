@@ -395,8 +395,8 @@ let render ~fingerprint ~rows ~history ~gate =
   if profiled <> [] then begin
     add "<h2>Profile: where simulated runs spend their time</h2>\n<table>\n";
     add
-      "<tr><th>scenario</th><th>top subsystems by time</th><th>top subsystems by \
-       allocation</th><th>events/s</th><th>max heap depth</th></tr>\n";
+      "<tr><th>scenario</th><th>top layers by time</th><th>top layers by \
+       allocation</th><th>events/s</th><th>max pending</th></tr>\n";
     List.iter
       (fun (r, p, sites) ->
         let field name site = Option.value (Obs.Json.member name site >>= number) ~default:0.0 in
@@ -425,7 +425,7 @@ let render ~fingerprint ~rows ~history ~gate =
              "<tr><td>%s</td><td class=\"mono\">%s</td><td class=\"mono\">%s</td><td \
               class=\"num\">%s</td><td class=\"num\">%s</td></tr>\n"
              (esc r.id) (top3 "total_ns") (top3 "minor_words") (gauge "events_per_sec")
-             (gauge "heap_depth_max")))
+             (gauge "pending_max")))
       profiled;
     add "</table>\n"
   end;

@@ -174,7 +174,7 @@ let emit t pkt =
   if delay = Time_ns.zero then t.deliver pkt
   else Engine.schedule_static_after t.engine ~delay deliver_h t pkt
 
-let deliver_unprofiled t pkt =
+let deliver t pkt =
   Metrics.incr t.c_offered;
   if hit t.rng t.config.loss then begin
     Metrics.incr t.c_lost;
@@ -208,14 +208,6 @@ let deliver_unprofiled t pkt =
     emit t pkt
   end
 
-let deliver t pkt =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.impair in
-    deliver_unprofiled t pkt;
-    Profcore.leave tok
-  end
-  else deliver_unprofiled t pkt
-
 let wrap engine ?name ~rng ~config inner =
   if is_clean config then inner
   else
@@ -228,7 +220,5 @@ let wrap engine ?name ~rng ~config inner =
 let ambient = ref None
 
 let set_default ~config ~seed = ambient := Some (config, Rng.create ~seed)
-
-let clear_default () = ambient := None
 
 let default () = !ambient

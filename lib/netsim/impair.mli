@@ -103,7 +103,6 @@ val reordered : t -> int
     seed makes the ambient impairment deterministic across runs. *)
 
 val set_default : config:config -> seed:int -> unit
-val clear_default : unit -> unit
 
 val default : unit -> (config * Eventsim.Rng.t) option
 (** The installed ambient config and the generator derived from its seed.

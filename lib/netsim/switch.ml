@@ -14,7 +14,6 @@ let svc_window_ns = 100_000
 
 type port = {
   txq : Txq.t;
-  mutable drops : int;
   mutable max_queue : int;
   (* Cumulative bytes serialized onto the wire: the numerator of the
      per-port service-rate telemetry channel (INT-style per-hop state). *)
@@ -86,7 +85,6 @@ let add_port t ~rate_bps ~prop_delay ?jitter ~deliver () =
   let port =
     {
       txq;
-      drops = 0;
       max_queue = 0;
       tx_bytes = 0;
       svc_win_start = Time_ns.zero;
@@ -138,10 +136,6 @@ let dynamic_threshold t =
 (* [port_idx] is -1 when no route matched. *)
 let drop t (pkt : Packet.t) ~port_idx ~reason =
   Metrics.incr t.m_drops;
-  if port_idx >= 0 then begin
-    let p = t.ports.(port_idx) in
-    p.drops <- p.drops + 1
-  end;
   if Trace.enabled t.tracer then
     Trace.emit t.tracer ~now:(Engine.now t.engine)
       (Trace.Drop
@@ -153,7 +147,7 @@ let drop t (pkt : Packet.t) ~port_idx ~reason =
            reason;
          })
 
-let input_unprofiled t pkt =
+let input t pkt =
   Metrics.incr t.m_input;
   match Hashtbl.find t.routes pkt.Packet.key.dst_ip with
   | exception Not_found -> drop t pkt ~port_idx:(-1) ~reason:Trace.No_route
@@ -232,14 +226,6 @@ let input_unprofiled t pkt =
       end
     end
 
-let input t pkt =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.switch_forward in
-    input_unprofiled t pkt;
-    Profcore.leave tok
-  end
-  else input_unprofiled t pkt
-
 let port_queue_bytes t idx = Txq.queued_bytes t.ports.(idx).txq
 let buffer_used t = t.buffer_used
 let forwarded_packets t = Metrics.value t.m_forwarded_packets
@@ -247,7 +233,6 @@ let forwarded_bytes t = Metrics.value t.m_forwarded_bytes
 let drops t = Metrics.value t.m_drops
 let wred_drops t = Metrics.value t.m_wred_drops
 let ce_marks t = Metrics.value t.m_ce_marks
-let port_drops t idx = t.ports.(idx).drops
 let max_port_queue t idx = t.ports.(idx).max_queue
 
 let drop_rate t =
@@ -291,7 +276,6 @@ let reset_counters t =
   Metrics.set t.g_buffer_max 0;
   for i = 0 to t.nports - 1 do
     let p = t.ports.(i) in
-    p.drops <- 0;
     p.max_queue <- 0;
     p.tx_bytes <- 0;
     p.svc_win_start <- Time_ns.zero;

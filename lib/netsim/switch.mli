@@ -71,7 +71,6 @@ val drops : t -> int
 
 val wred_drops : t -> int
 val ce_marks : t -> int
-val port_drops : t -> int -> int
 val max_port_queue : t -> int -> int
 (** High-water mark of a port's queue, in bytes. *)
 

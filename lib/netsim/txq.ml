@@ -104,9 +104,6 @@ let create ?(node = "txq") ?(port = 0) engine ~rate_bps ~prop_delay ~jitter ~del
 let set_on_tx_complete t f = t.on_tx_complete <- f
 
 let queued_bytes t = t.queued_bytes
-(* Waiting frames only — the one on the serializer is excluded (matching
-   [queued_bytes]'s complement: bytes include it, the count never did). *)
-let queued_packets t = t.q_len
 let rate_bps t = t.rate_bps
 let busy t = t.busy
 
@@ -151,7 +148,7 @@ let deliver_one_h : (t, Packet.t) Engine.handler =
 (* [finish] (serialization complete), [start_next] and [deliver_batch] are
    mutually recursive with their own static handlers; the handlers are
    [lazy] so the recursive group ties the knot at module init. *)
-let rec finish_unprofiled t =
+let rec finish t () =
   let pkt = t.cur_pkt and size = t.cur_size and enq_ns = t.cur_enq in
   t.cur_pkt <- Packet.dummy;
   t.queued_bytes <- t.queued_bytes - size;
@@ -192,17 +189,6 @@ let rec finish_unprofiled t =
     end);
   start_next t
 
-and finish t () =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.txq_dequeue in
-    (try finish_unprofiled t
-     with e ->
-       Profcore.leave tok;
-       raise e);
-    Profcore.leave tok
-  end
-  else finish_unprofiled t
-
 and start_next t =
   if t.q_len = 0 then t.busy <- false
   else begin
@@ -242,7 +228,7 @@ and deliver_batch t () =
 and finish_h = lazy (Engine.handler finish)
 and deliver_batch_h = lazy (Engine.handler deliver_batch)
 
-let enqueue_unprofiled t pkt =
+let enqueue t pkt =
   let size = Packet.wire_size pkt in
   t.queued_bytes <- t.queued_bytes + size;
   if Obs.Trace.enabled t.tracer then
@@ -256,11 +242,3 @@ let enqueue_unprofiled t pkt =
   t.q_enq.(tail) <- Engine.now t.engine;
   t.q_len <- t.q_len + 1;
   if not t.busy then start_next t
-
-let enqueue t pkt =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.txq_enqueue in
-    enqueue_unprofiled t pkt;
-    Profcore.leave tok
-  end
-  else enqueue_unprofiled t pkt

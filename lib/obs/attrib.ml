@@ -51,16 +51,6 @@ let state_label = function
   | Rto_recovery -> "rto_recovery"
   | In_flight -> "in_flight"
 
-let state_of_label = function
-  | "handshake" -> Some Handshake
-  | "app_limited" -> Some App_limited
-  | "cwnd_limited" -> Some Cwnd_limited
-  | "rwnd_limited_native" -> Some Rwnd_limited_native
-  | "rwnd_limited_enforced" -> Some Rwnd_limited_enforced
-  | "rto_recovery" -> Some Rto_recovery
-  | "in_flight" -> Some In_flight
-  | _ -> None
-
 type cause =
   | Blocked_handshake
   | Blocked_app
@@ -261,9 +251,6 @@ let completed t =
 
 let find_snapshot t key =
   match Flow_key.Table.find_opt t.flows key with Some c -> c.snap | None -> None
-
-let live_states t key =
-  Option.map states_of (Flow_key.Table.find_opt t.flows key)
 
 (* ------------------------------------------------------------------ *)
 (* The report's [fct_attrib] section                                    *)

@@ -50,8 +50,6 @@ val state_label : state -> string
 (** Snake-case label used in trace events, timeseries channel names and
     report keys ("handshake", "app_limited", ..., "in_flight"). *)
 
-val state_of_label : string -> state option
-
 (** What a send-decision point can observe locally.  [Blocked_rwnd] is
     resolved to [Rwnd_limited_native] or [Rwnd_limited_enforced] inside
     the module, from the flag the vSwitch maintains via
@@ -143,10 +141,6 @@ val completed : t -> snapshot list
 (** Latest snapshot per completed flow, sorted by flow label. *)
 
 val find_snapshot : t -> Dcpkt.Flow_key.t -> snapshot option
-
-val live_states : t -> Dcpkt.Flow_key.t -> (state * Eventsim.Time_ns.t) list option
-(** Durations accumulated so far (up to the last transition) for a
-    still-tracked flow, for tests and live inspection. *)
 
 val to_json : t -> Json.t
 (** The report's [fct_attrib] section: per-flow rows (completed flows

@@ -145,7 +145,7 @@ let iface_id w name =
     w.write (interface_block ~name);
     id
 
-let capture_unprofiled t ~iface ~now (pkt : Packet.t) =
+let capture t ~iface ~now (pkt : Packet.t) =
   match t with
   | Null -> ()
   | Writer w -> (
@@ -180,17 +180,6 @@ let capture_unprofiled t ~iface ~now (pkt : Packet.t) =
       Bytes.fill b (header + len) pad '\000';
       set32 b (total - 4) total;
       w.write (Bytes.sub_string b 0 total))
-
-let capture t ~iface ~now pkt =
-  (* A live capture serializes the frame on the datapath; the span makes
-     that cost visible instead of smearing it into whichever component
-     owns the tap. *)
-  if !Profcore.on && enabled t then begin
-    let tok = Profcore.enter Profcore.Site.pcap_sink in
-    capture_unprofiled t ~iface ~now pkt;
-    Profcore.leave tok
-  end
-  else capture_unprofiled t ~iface ~now pkt
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)

@@ -22,7 +22,7 @@ let to_json () =
       ( "gauges",
         Json.Obj
           [
-            ("heap_depth_max", Json.Int (heap_depth_high_water ()));
+            ("pending_max", Json.Int (pending_max ()));
             ("events_per_sec", Json.Float (events_per_sec ()));
           ] );
     ]
@@ -31,24 +31,18 @@ let to_json () =
    speedups are measured against.  ns/* are wall-noisy (loose diff rules);
    minor_words_per_packet is deterministic for a seeded run. *)
 let baselines () =
-  let stats = snapshot () in
-  let find name = List.find_opt (fun s -> String.equal s.s_name name) stats in
-  let sum names f =
-    List.fold_left (fun acc n -> match find n with Some s -> acc + f s | None -> acc) 0 names
+  let stats = Array.of_list (snapshot ()) in
+  let engine = stats.((Site.eventsim_engine :> int))
+  and datapath = stats.((Site.vswitch_datapath :> int)) in
+  let per num s =
+    if s.s_count > 0 then Some (float_of_int num /. float_of_int s.s_count) else None
   in
-  let engine = [ "engine.callback"; "engine.timer" ] in
-  let datapath = [ "vswitch.rx"; "vswitch.tx" ] in
-  let per num den = if den > 0 then Some (float_of_int num /. float_of_int den) else None in
   List.filter_map
     (fun (key, v) -> Option.map (fun v -> (key, v)) v)
     [
-      ("ns_per_event", per (sum engine (fun s -> s.s_total_ns)) (sum engine (fun s -> s.s_count)));
-      ( "ns_per_packet",
-        per (sum datapath (fun s -> s.s_total_ns)) (sum datapath (fun s -> s.s_count)) );
-      ( "minor_words_per_packet",
-        per
-          (sum datapath (fun s -> int_of_float s.s_minor_words))
-          (sum datapath (fun s -> s.s_count)) );
+      ("ns_per_event", per engine.s_total_ns engine);
+      ("ns_per_packet", per datapath.s_total_ns datapath);
+      ("minor_words_per_packet", per (int_of_float datapath.s_minor_words) datapath);
     ]
 
 let folded_to_string () =

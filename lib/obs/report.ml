@@ -1,5 +1,3 @@
-type timeseries_ref = Embedded of Timeseries.t | Referenced of string * Timeseries.t
-
 type t = {
   schema : string;
   id : string;
@@ -10,7 +8,7 @@ type t = {
   mutable profile : Json.t option;
   mutable int_section : Json.t option;
   mutable fct_attrib : Json.t option;
-  mutable timeseries : timeseries_ref list;
+  mutable timeseries : Timeseries.t list;
 }
 
 let create ?(schema = "acdc-report/1") ~id () =
@@ -53,26 +51,6 @@ let add_samples t ~name ?(unit_label = "") samples =
   in
   t.percentiles <- (name, Json.Obj (summary_fields ~unit_label ~count body)) :: t.percentiles
 
-let add_histogram t ~name ?(unit_label = "") hist =
-  let count = Dcstats.Histogram.count hist in
-  let body =
-    if count = 0 then []
-    else
-      let p q =
-        (Printf.sprintf "p%g" (q *. 100.0), Json.Float (Dcstats.Histogram.quantile hist q))
-      in
-      [
-        ("mean", Json.Float (Dcstats.Histogram.mean hist));
-        p 0.5;
-        p 0.95;
-        p 0.99;
-        p 0.999;
-        ("underflow", Json.Int (Dcstats.Histogram.underflow hist));
-        ("overflow", Json.Int (Dcstats.Histogram.overflow hist));
-      ]
-  in
-  t.percentiles <- (name, Json.Obj (summary_fields ~unit_label ~count body)) :: t.percentiles
-
 let set_metrics t registry = t.metrics <- Some (Metrics.to_json registry)
 
 let set_profile t p = t.profile <- Some p
@@ -81,29 +59,9 @@ let set_int t j = t.int_section <- Some j
 
 let set_fct_attrib t j = t.fct_attrib <- Some j
 
-let embed_timeseries t ts = t.timeseries <- Embedded ts :: t.timeseries
+let embed_timeseries t ts = t.timeseries <- ts :: t.timeseries
 
-let reference_timeseries t ~dir ts = t.timeseries <- Referenced (dir, ts) :: t.timeseries
-
-let timeseries_json = function
-  | Embedded ts -> Json.Obj [ ("embedded", Timeseries.to_json ts) ]
-  | Referenced (dir, ts) ->
-    Json.Obj
-      [
-        ("dir", Json.String dir);
-        ( "files",
-          Json.List
-            (List.map
-               (fun ch ->
-                 Json.Obj
-                   [
-                     ("channel", Json.String (Timeseries.name ch));
-                     ( "file",
-                       Json.String (Timeseries.sanitize_name (Timeseries.name ch) ^ ".csv") );
-                     ("points", Json.Int (Timeseries.length ch));
-                   ])
-               (Timeseries.channels ts)) );
-      ]
+let timeseries_json ts = Json.Obj [ ("embedded", Timeseries.to_json ts) ]
 
 let to_json t =
   let fields =

@@ -22,10 +22,6 @@ val add_int : t -> string -> int -> unit
 val add_samples : t -> name:string -> ?unit_label:string -> Dcstats.Samples.t -> unit
 (** p50/p95/p99/p99.9 (plus count, mean, min, max) of an exact sample set. *)
 
-val add_histogram : t -> name:string -> ?unit_label:string -> Dcstats.Histogram.t -> unit
-(** Same percentile summary from a log-spaced histogram (bucket-resolution
-    quantiles; includes underflow/overflow counts). *)
-
 val set_metrics : t -> Metrics.t -> unit
 (** Snapshot the registry now (counters summed, gauges maxed). *)
 
@@ -45,11 +41,6 @@ val set_fct_attrib : t -> Json.t -> unit
 
 val embed_timeseries : t -> Timeseries.t -> unit
 (** Inline every channel's points into the report. *)
-
-val reference_timeseries : t -> dir:string -> Timeseries.t -> unit
-(** Record the CSV file names {!Timeseries.write_csv_dir} produces in
-    [dir] instead of inlining points (for long runs).  Does not write the
-    files — pair with [write_csv_dir]. *)
 
 val to_json : t -> Json.t
 (** Sections in fixed order: schema, id, config, scalars, percentiles,

@@ -84,8 +84,6 @@ let set_timeseries_sink ~dir = timeseries_sink := Some dir
 
 let clear_timeseries_sink () = timeseries_sink := None
 
-let timeseries_dir () = !timeseries_sink
-
 let export_timeseries ts =
   match !timeseries_sink with
   | None -> ()

@@ -54,7 +54,8 @@ val close_pcap : unit -> unit
 (** {2 Profiling}
 
     The profiler is ambient by construction — {!Prof} (= [Profcore]) keeps
-    its accumulators in globals so the hot paths pay one load-and-branch
+    its accumulators in globals, and its spans sit where one of the
+    ledger's eight layers calls the next, each paying one load-and-branch
     when it is off.  Drivers enable it for a whole run:
 
     {[
@@ -86,7 +87,6 @@ val close_profile : unit -> unit
 
 val set_timeseries_sink : dir:string -> unit
 val clear_timeseries_sink : unit -> unit
-val timeseries_dir : unit -> string option
 
 val export_timeseries : Timeseries.t -> unit
 (** {!Timeseries.write_csv_dir} into the configured sink directory, or a

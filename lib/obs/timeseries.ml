@@ -209,10 +209,3 @@ let write_csv_dir t ~dir =
       output_string oc (to_csv ch);
       close_out oc)
     (channels t)
-
-let write_jsonl t oc =
-  List.iter
-    (fun ch ->
-      output_string oc (Json.to_string (channel_to_json ch));
-      output_char oc '\n')
-    (channels t)

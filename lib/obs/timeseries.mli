@@ -112,8 +112,5 @@ val write_csv_dir : t -> dir:string -> unit
     outside [A-Za-z0-9._-] in channel names become [_].  Raises [Sys_error]
     if [dir] cannot be created or written. *)
 
-val write_jsonl : t -> out_channel -> unit
-(** One compact {!channel_to_json} line per channel. *)
-
 val sanitize_name : string -> string
 (** The file-name mapping [write_csv_dir] uses. *)

@@ -488,7 +488,7 @@ let event_of_json json =
   in
   Ok (now, event)
 
-let rec emit_unprofiled t ~now event =
+let rec emit t ~now event =
   match t with
   | Null -> ()
   | Ring r ->
@@ -500,20 +500,9 @@ let rec emit_unprofiled t ~now event =
     encode line ~now event;
     write (Buffer.contents line)
   | Tee (a, b) ->
-    emit_unprofiled a ~now event;
-    emit_unprofiled b ~now event
-  | Filter (keep, inner) -> if keep now event then emit_unprofiled inner ~now event
-
-let emit t ~now event =
-  (* The span wraps only the outermost call: Tee/Filter recursion stays in
-     one trace.sink frame. *)
-  match t with
-  | Null -> ()
-  | _ when !Profcore.on ->
-    let tok = Profcore.enter Profcore.Site.trace_sink in
-    emit_unprofiled t ~now event;
-    Profcore.leave tok
-  | _ -> emit_unprofiled t ~now event
+    emit a ~now event;
+    emit b ~now event
+  | Filter (keep, inner) -> if keep now event then emit inner ~now event
 
 let rec events = function
   | Null | Write _ -> []

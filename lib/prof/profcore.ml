@@ -1,10 +1,12 @@
-(* Self-profiling core: monotonic-clock spans attributed to a small static
-   registry of simulator subsystems, with per-span GC allocation deltas and
-   a folded-stack (flamegraph) tree built from the span nesting.
+(* Self-profiling core: monotonic-clock spans attributed to the
+   performance ledger's eight layers, with per-span GC allocation deltas
+   and a folded-stack (flamegraph) tree built from the span nesting.
 
-   This module sits below [eventsim] in the dependency order on purpose:
-   the event core, the network layers and the observability sinks all push
-   spans here, and [Obs.Prof] re-exports it with the JSON/folded renderers
+   This module sits below [eventsim] in the dependency order so the
+   engine's dispatch can carry the [eventsim.engine] span.  Every other
+   span opens where one layer calls the next ([Fabric]'s wiring, AC/DC's
+   processor glue); the layers themselves hold no profiler code.
+   [Obs.Prof] re-exports this module with the JSON/folded renderers
    layered on top.
 
    The enabled check is a single [bool ref] load and branch; call sites
@@ -18,42 +20,29 @@ external clock_ns : unit -> int = "prof_clock_ns" [@@noalloc]
 module Site = struct
   type t = int
 
-  (* Registration order here is the deterministic key order of every
-     rendered profile; append only. *)
+  (* The performance ledger's layers, in [BENCHMARK.json] order, so a
+     profile and a ledger row name the same thing.  This order is the
+     deterministic key order of every rendered profile. *)
   let names =
     [|
-      "engine.callback";
-      "engine.timer";
-      "heap.push";
-      "heap.pop";
-      "switch.forward";
-      "txq.enqueue";
-      "txq.dequeue";
-      "vswitch.rx";
-      "vswitch.tx";
+      "eventsim.engine";
+      "netsim.txq";
+      "netsim.switch";
+      "vswitch.datapath";
       "acdc.sender";
       "acdc.receiver";
       "tcp.endpoint";
-      "impair";
-      "pcap.sink";
-      "trace.sink";
+      "fabric.conn";
     |]
 
-  let engine_callback = 0
-  let engine_timer = 1
-  let heap_push = 2
-  let heap_pop = 3
-  let switch_forward = 4
-  let txq_enqueue = 5
-  let txq_dequeue = 6
-  let vswitch_rx = 7
-  let vswitch_tx = 8
-  let acdc_sender = 9
-  let acdc_receiver = 10
-  let tcp_endpoint = 11
-  let impair = 12
-  let pcap_sink = 13
-  let trace_sink = 14
+  let eventsim_engine = 0
+  let netsim_txq = 1
+  let netsim_switch = 2
+  let vswitch_datapath = 3
+  let acdc_sender = 4
+  let acdc_receiver = 5
+  let tcp_endpoint = 6
+  let fabric_conn = 7
 
   let count = Array.length names
   let name i = names.(i)
@@ -71,7 +60,7 @@ let total_ns = Array.make nsites 0
 let max_ns = Array.make nsites 0
 let minor_words = Array.make nsites 0.0
 let major_words = Array.make nsites 0.0
-let heap_depth_max = ref 0
+let pending_hw = ref 0
 
 (* ------------------------------------------------------------------ *)
 (* Folded-stack tree: one node per distinct span path.  Children are an
@@ -201,7 +190,7 @@ let with_span site f =
       raise e
   end
 
-let note_heap_depth d = if d > !heap_depth_max then heap_depth_max := d
+let note_pending n = if n > !pending_hw then pending_hw := n
 
 (* ------------------------------------------------------------------ *)
 (* Control                                                             *)
@@ -212,7 +201,7 @@ let reset () =
   Array.fill max_ns 0 nsites 0;
   Array.fill minor_words 0 nsites 0.0;
   Array.fill major_words 0 nsites 0.0;
-  heap_depth_max := 0;
+  pending_hw := 0;
   depth_ref := 0;
   Array.fill root.n_children 0 nsites (-1);
   root.n_ns <- 0;
@@ -254,12 +243,11 @@ let snapshot () =
       })
     Site.all
 
-let heap_depth_high_water () = !heap_depth_max
+let pending_max () = !pending_hw
 
 let events_per_sec () =
-  let c = counts.(Site.engine_callback) + counts.(Site.engine_timer) in
-  let ns = total_ns.(Site.engine_callback) + total_ns.(Site.engine_timer) in
-  if ns <= 0 then 0.0 else float_of_int c *. 1e9 /. float_of_int ns
+  let ns = total_ns.(Site.eventsim_engine) in
+  if ns <= 0 then 0.0 else float_of_int counts.(Site.eventsim_engine) *. 1e9 /. float_of_int ns
 
 (* ------------------------------------------------------------------ *)
 (* Folded stacks                                                       *)

@@ -1,17 +1,32 @@
-(** Self-profiling core: monotonic-clock spans, per-subsystem accumulators
+(** Self-profiling core: monotonic-clock spans, per-layer accumulators
     (count, total/max ns, GC minor+major allocation deltas), and a
     folded-stack tree built from span nesting.
 
-    Lives below [eventsim] so the event core and every network layer can
-    push spans; [Obs.Prof] re-exports this module with JSON and
-    folded-stack renderers on top.
+    The sites are the performance ledger's eight layers ([BENCHMARK.json]
+    [per_layer], [benchmark/lib/wiring.ml]), so a flamegraph frame and a
+    ledger row talk about the same thing.  Spans open only where one layer
+    calls the next:
+
+    - [eventsim.engine]: [Eventsim.Engine]'s dispatch of every event; it
+      also feeds the {!pending_max} gauge;
+    - [netsim.txq]: a host's NIC enqueue ([Fabric.Host]'s emit);
+    - [netsim.switch]: the link deliveries into [Netsim.Switch.input] that
+      [Fabric.Topology] builds (switch-port enqueues count here);
+    - [vswitch.datapath]: [Fabric.Host]'s two [Vswitch.Datapath] calls;
+    - [acdc.sender] / [acdc.receiver]: [Acdc]'s processor glue;
+    - [tcp.endpoint]: [Fabric.Host]'s demux into [Tcp.Endpoint.input];
+    - [fabric.conn]: [Fabric.Conn]'s scheduled connect, established
+      callbacks and teardown.
+
+    [Obs.Prof] re-exports this module with JSON and folded-stack renderers
+    on top.
 
     Hot-path contract: guard every span with the {!on} flag so the
     disabled path is exactly one load and one branch —
 
     {[
       if !Profcore.on then begin
-        let tok = Profcore.enter Profcore.Site.txq_enqueue in
+        let tok = Profcore.enter Profcore.Site.netsim_txq in
         ... work ...;
         Profcore.leave tok
       end
@@ -26,27 +41,20 @@
 external clock_ns : unit -> int = "prof_clock_ns" [@@noalloc]
 (** CLOCK_MONOTONIC in nanoseconds as an immediate int (no boxing). *)
 
-(** The static subsystem registry.  Every span is attributed to one of
-    these sites; their declaration order is the deterministic key order of
-    all rendered profiles. *)
+(** The static layer registry.  Every span is attributed to one of these
+    sites; their declaration order ([BENCHMARK.json]'s) is the
+    deterministic key order of all rendered profiles. *)
 module Site : sig
   type t = private int
 
-  val engine_callback : t
-  val engine_timer : t
-  val heap_push : t
-  val heap_pop : t
-  val switch_forward : t
-  val txq_enqueue : t
-  val txq_dequeue : t
-  val vswitch_rx : t
-  val vswitch_tx : t
+  val eventsim_engine : t
+  val netsim_txq : t
+  val netsim_switch : t
+  val vswitch_datapath : t
   val acdc_sender : t
   val acdc_receiver : t
   val tcp_endpoint : t
-  val impair : t
-  val pcap_sink : t
-  val trace_sink : t
+  val fabric_conn : t
 
   val count : int
   val name : t -> string
@@ -85,8 +93,9 @@ val with_span : Site.t -> (unit -> 'a) -> 'a
 val depth : unit -> int
 (** Current span-stack depth (0 when balanced at top level). *)
 
-val note_heap_depth : int -> unit
-(** Feed the event-heap depth gauge (keeps the high-water mark). *)
+val note_pending : int -> unit
+(** Feed the pending-events gauge (keeps the high-water mark); the engine
+    calls it at each dispatch with the events still queued. *)
 
 val touched : unit -> bool
 (** True once any span has completed since the last {!reset}. *)
@@ -101,13 +110,14 @@ type site_stats = {
 }
 
 val snapshot : unit -> site_stats list
-(** One entry per registry site (zero entries included), in registry
-    order. *)
+(** One entry per layer (zero entries included), in registry order. *)
 
-val heap_depth_high_water : unit -> int
+val pending_max : unit -> int
+(** The most events pending at any dispatch since the last {!reset}: the
+    ledger's [eventsim.engine.pending_max]. *)
 
 val events_per_sec : unit -> float
-(** Engine dispatch throughput derived from the engine sites' own spans
+(** Engine dispatch throughput derived from the [eventsim.engine] spans
     (count / inclusive seconds); 0 before any dispatch.  Wall-clock
     noisy. *)
 

@@ -40,8 +40,6 @@ let default_config =
     ignore_rwnd = false;
   }
 
-let config_for_mtu config ~mtu = { config with mss = mtu - 40 }
-
 (* The adversarial tenant of §3.3: disregards the receive window AC/DC
    enforces and grows its congestion window without restraint. *)
 let misbehaving config = { config with cc = Aggressive.factory; ignore_rwnd = true }
@@ -448,8 +446,6 @@ let send_message t ~bytes ~on_complete =
     t.messages;
   try_send t
 
-let send_bytes t bytes = send_message t ~bytes ~on_complete:ignore
-
 let send_forever t =
   t.infinite_source <- true;
   try_send t
@@ -735,7 +731,7 @@ let handle_fin t (pkt : Packet.t) =
   if t.state = Established && not t.fin_sent then close t;
   if t.state = Fin_wait && t.fin_received then t.state <- Closing
 
-let input_unprofiled t (pkt : Packet.t) =
+let input t (pkt : Packet.t) =
   match t.state with
   | Listen -> if pkt.syn && not pkt.has_ack then handle_syn t pkt
   | Syn_sent -> if pkt.syn && pkt.has_ack then handle_syn_ack t pkt
@@ -762,14 +758,6 @@ let input_unprofiled t (pkt : Packet.t) =
       if pkt.fin then handle_fin t pkt
     end
   | Closed -> ()
-
-let input t (pkt : Packet.t) =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.tcp_endpoint in
-    input_unprofiled t pkt;
-    Profcore.leave tok
-  end
-  else input_unprofiled t pkt
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -799,7 +787,6 @@ let register_probes t ~ts ~prefix ~interval =
     (Obs.Timeseries.probe ts ~name:(prefix ^ ".cwnd") ~unit_label:"bytes" ~interval (fun () ->
          Some (float_of_int t.cwnd)))
 let set_rtt_hook t f = t.rtt_hook <- f
-let set_cwnd_hook t f = t.cwnd_hook <- f
 
 let add_cwnd_hook t f =
   let prev = t.cwnd_hook in

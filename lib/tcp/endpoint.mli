@@ -40,9 +40,6 @@ val default_config : config
 (** CUBIC, no ECN, 9000-byte MTU segments (MSS 8960), 6 MB receive buffer,
     wscale 7, 10 ms RTOmin. *)
 
-val config_for_mtu : config -> mtu:int -> config
-(** Adjust [mss] for an MTU assuming 40 bytes of TCP/IP headers. *)
-
 val misbehaving : config -> config
 (** The deliberately hostile tenant stack of §3.3: [ignore_rwnd] set and
     {!Aggressive.factory} as its congestion control, so only AC/DC's
@@ -80,9 +77,6 @@ val input : t -> Dcpkt.Packet.t -> unit
 val send_message : t -> bytes:int -> on_complete:(Eventsim.Time_ns.t -> unit) -> unit
 (** Queue [bytes] on the connection; [on_complete] fires with the flow
     completion time (submission until cumulatively ACKed). *)
-
-val send_bytes : t -> int -> unit
-(** Queue bytes with no completion callback. *)
 
 val send_forever : t -> unit
 (** Saturating source: always has a segment ready. *)
@@ -125,14 +119,10 @@ val register_probes :
 val set_rtt_hook : t -> (Eventsim.Time_ns.t -> unit) -> unit
 (** Called with every clean RTT sample the sender takes. *)
 
-val set_cwnd_hook : t -> (Eventsim.Time_ns.t -> int -> unit) -> unit
-(** Called whenever the congestion window changes.  Replaces {e every}
-    previously installed hook; prefer {!add_cwnd_hook} so independent
-    observers (figure traces, attribution) can coexist. *)
-
 val add_cwnd_hook : t -> (Eventsim.Time_ns.t -> int -> unit) -> unit
-(** Stack [f] after any previously installed congestion-window hooks;
-    all installed hooks run on every change, in installation order. *)
+(** Called whenever the congestion window changes.  Stacks [f] after any
+    previously installed hooks; all installed hooks run on every change,
+    in installation order. *)
 
 val set_bytes_hook : t -> (Eventsim.Time_ns.t -> int -> unit) -> unit
 (** Called with the byte count each time the cumulative ACK advances:

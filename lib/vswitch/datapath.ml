@@ -55,7 +55,7 @@ let trace_drop t (pkt : Dcpkt.Packet.t) ~egress =
     Obs.Trace.emit t.tracer ~now:(t.clock ())
       (Obs.Trace.Vswitch_drop { node = t.name; pkt = pkt.Dcpkt.Packet.id; egress })
 
-let process_egress_unprofiled t pkt ~emit =
+let process_egress t pkt ~emit =
   Obs.Metrics.incr t.m_egress_packets;
   match run_egress pkt emit t.processors with
   | Pass -> emit pkt
@@ -63,29 +63,13 @@ let process_egress_unprofiled t pkt ~emit =
     Obs.Metrics.incr t.m_egress_drops;
     trace_drop t pkt ~egress:true
 
-let process_egress t pkt ~emit =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.vswitch_tx in
-    process_egress_unprofiled t pkt ~emit;
-    Profcore.leave tok
-  end
-  else process_egress_unprofiled t pkt ~emit
-
-let process_ingress_unprofiled t pkt ~deliver =
+let process_ingress t pkt ~deliver =
   Obs.Metrics.incr t.m_ingress_packets;
   match run_ingress pkt deliver t.processors with
   | Pass -> deliver pkt
   | Drop ->
     Obs.Metrics.incr t.m_ingress_drops;
     trace_drop t pkt ~egress:false
-
-let process_ingress t pkt ~deliver =
-  if !Profcore.on then begin
-    let tok = Profcore.enter Profcore.Site.vswitch_rx in
-    process_ingress_unprofiled t pkt ~deliver;
-    Profcore.leave tok
-  end
-  else process_ingress_unprofiled t pkt ~deliver
 
 let egress_packets t = Obs.Metrics.value t.m_egress_packets
 let ingress_packets t = Obs.Metrics.value t.m_ingress_packets

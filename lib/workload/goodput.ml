@@ -8,5 +8,3 @@ let track_aggregate ts ~name ~interval conns =
         (List.fold_left
            (fun acc conn -> acc +. float_of_int (Fabric.Conn.bytes_acked conn))
            0.0 conns))
-
-let rate_gbps ch ~bin ~until = Obs.Timeseries.binned_rate ch ~bin ~until

@@ -23,11 +23,3 @@ val track_aggregate :
   Fabric.Conn.t list ->
   Obs.Timeseries.channel
 (** Same, summing [bytes_acked] across all of [conns]. *)
-
-val rate_gbps :
-  Obs.Timeseries.channel ->
-  bin:Eventsim.Time_ns.t ->
-  until:Eventsim.Time_ns.t ->
-  (float * float) list
-(** [(bin_end_seconds, gbps)] per bin — {!Obs.Timeseries.binned_rate} on a
-    channel produced by {!track} / {!track_aggregate}. *)

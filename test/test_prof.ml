@@ -29,16 +29,16 @@ let test_disabled_noop () =
   mini_run ~pairs:2 ~duration_ms:10;
   check_bool "no spans recorded" false (Prof.touched ());
   check_int "stack balanced" 0 (Prof.depth ());
-  check_int "heap gauge untouched" 0 (Prof.heap_depth_high_water ())
+  check_int "pending gauge untouched" 0 (Prof.pending_max ())
 
 let test_span_accounting () =
   Prof.reset ();
   Prof.set_enabled true;
-  let tok = Prof.enter Prof.Site.impair in
+  let tok = Prof.enter Prof.Site.netsim_txq in
   ignore (Sys.opaque_identity (Array.make 1000 0.0));
   Prof.leave tok;
   Prof.set_enabled false;
-  let s = find_site "impair" in
+  let s = find_site "netsim.txq" in
   check_int "one span" 1 s.Prof.s_count;
   check_bool "wall time measured" true (s.Prof.s_total_ns > 0);
   check_bool "max covers the only span" true (s.Prof.s_max_ns <= s.Prof.s_total_ns);
@@ -49,7 +49,7 @@ let test_span_accounting () =
   (* Every other site stayed silent. *)
   List.iter
     (fun st ->
-      if not (String.equal st.Prof.s_name "impair") then
+      if not (String.equal st.Prof.s_name "netsim.txq") then
         check_int ("silent site " ^ st.Prof.s_name) 0 st.Prof.s_count)
     (Prof.snapshot ())
 
@@ -60,12 +60,12 @@ let test_exception_unwind () =
      Prof.with_span Prof.Site.acdc_sender (fun () ->
          (* An abandoned inner frame: the raise skips its leave; the
             protected outer span must pop it on the way out. *)
-         let _tok = Prof.enter Prof.Site.heap_push in
+         let _tok = Prof.enter Prof.Site.tcp_endpoint in
          failwith "boom")
    with Failure _ -> ());
   check_int "stack balanced after raise" 0 (Prof.depth ());
   check_int "outer span closed" 1 (find_site "acdc.sender").Prof.s_count;
-  check_int "abandoned inner span closed" 1 (find_site "heap.push").Prof.s_count;
+  check_int "abandoned inner span closed" 1 (find_site "tcp.endpoint").Prof.s_count;
   Prof.set_enabled false
 
 let test_engine_dispatch_unwind () =
@@ -73,29 +73,30 @@ let test_engine_dispatch_unwind () =
   Prof.set_enabled true;
   let engine = Engine.create () in
   Engine.schedule engine ~at:Time_ns.zero (fun () -> failwith "callback raises");
+  Engine.schedule engine ~at:(Time_ns.us 1) ignore;
   (try Engine.run engine with Failure _ -> ());
   Prof.set_enabled false;
   check_int "stack balanced after raising callback" 0 (Prof.depth ());
-  check_int "dispatch span closed" 1 (find_site "engine.callback").Prof.s_count;
-  check_bool "event-heap gauge fed" true (Prof.heap_depth_high_water () >= 1)
+  check_int "dispatch span closed" 1 (find_site "eventsim.engine").Prof.s_count;
+  check_int "pending gauge fed at dispatch" 1 (Prof.pending_max ())
 
 let test_folded_structure () =
   Prof.reset ();
   Prof.set_enabled true;
-  Prof.with_span Prof.Site.engine_callback (fun () ->
-      Prof.with_span Prof.Site.switch_forward (fun () ->
-          Prof.with_span Prof.Site.txq_enqueue (fun () -> ()));
-      Prof.with_span Prof.Site.txq_dequeue (fun () -> ()));
-  Prof.with_span Prof.Site.engine_timer (fun () -> ());
+  Prof.with_span Prof.Site.eventsim_engine (fun () ->
+      Prof.with_span Prof.Site.netsim_switch (fun () ->
+          Prof.with_span Prof.Site.netsim_txq (fun () -> ()));
+      Prof.with_span Prof.Site.vswitch_datapath (fun () -> ()));
+  Prof.with_span Prof.Site.fabric_conn (fun () -> ());
   Prof.set_enabled false;
   Alcotest.(check (list string))
     "folded stack paths, sorted"
     [
-      "engine.callback";
-      "engine.callback;switch.forward";
-      "engine.callback;switch.forward;txq.enqueue";
-      "engine.callback;txq.dequeue";
-      "engine.timer";
+      "eventsim.engine";
+      "eventsim.engine;netsim.switch";
+      "eventsim.engine;netsim.switch;netsim.txq";
+      "eventsim.engine;vswitch.datapath";
+      "fabric.conn";
     ]
     (List.map fst (Prof.folded ()));
   List.iter
@@ -105,6 +106,57 @@ let test_folded_structure () =
   (* The rendered form is one "path self_ns" line per stack. *)
   let lines = String.split_on_char '\n' (String.trim (Prof.folded_to_string ())) in
   check_int "one line per stack" (List.length (Prof.folded ())) (List.length lines)
+
+(* ------------------------------------------------------------------ *)
+(* One vocabulary with the performance ledger                          *)
+
+(* The ledger's layers: BENCHMARK.json's per-layer [<layer>.calls] rows,
+   in file order (a declared dependency of this test). *)
+let ledger_layers () =
+  let text = In_channel.with_open_text "../BENCHMARK.json" In_channel.input_all in
+  let spec = match Json.of_string text with Ok j -> j | Error e -> Alcotest.fail e in
+  match Json.member "per_layer" spec with
+  | Some (Json.List rows) ->
+    List.filter_map
+      (fun row ->
+        match Json.member "name" row with
+        | Some (Json.String name) when String.ends_with ~suffix:".calls" name ->
+          Some (String.sub name 0 (String.length name - String.length ".calls"))
+        | _ -> None)
+      rows
+  | _ -> Alcotest.fail "BENCHMARK.json has no per_layer list"
+
+let test_sites_are_ledger_layers () =
+  Alcotest.(check (list string))
+    "Site.all names the ledger's layers, in order" (ledger_layers ())
+    (List.map Prof.Site.name Prof.Site.all)
+
+(* Each boundary span fires once per call across it: the switch span once
+   per switch input, the datapath span once per vSwitch packet either way,
+   the engine span once per dispatched event. *)
+let test_boundary_counts () =
+  Experiments.Harness.reset_run_metrics ();
+  Prof.reset ();
+  Prof.set_enabled true;
+  let events0 = Engine.total_events_processed () in
+  mini_run ~pairs:2 ~duration_ms:10;
+  let events = Engine.total_events_processed () - events0 in
+  Prof.set_enabled false;
+  let counters = Obs.Metrics.counters (Obs.Runtime.metrics ()) in
+  let sum keep = List.fold_left (fun acc (k, v) -> if keep k then acc + v else acc) 0 counters in
+  let switch_inputs =
+    sum (fun k ->
+        String.starts_with ~prefix:"switch." k && String.ends_with ~suffix:".input_packets" k)
+  in
+  let vswitch_packets =
+    sum (fun k -> k = "vswitch.egress_packets" || k = "vswitch.ingress_packets")
+  in
+  check_bool "the run moved packets" true (switch_inputs > 0 && vswitch_packets > 0);
+  check_int "netsim.switch = switch inputs" switch_inputs (find_site "netsim.switch").Prof.s_count;
+  check_int "vswitch.datapath = vSwitch packets" vswitch_packets
+    (find_site "vswitch.datapath").Prof.s_count;
+  check_int "eventsim.engine = events processed" events
+    (find_site "eventsim.engine").Prof.s_count
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the rendered profile                                 *)
@@ -295,6 +347,12 @@ let () =
           Alcotest.test_case "engine dispatch span survives a raise" `Quick
             test_engine_dispatch_unwind;
           Alcotest.test_case "folded stacks" `Quick test_folded_structure;
+        ] );
+      ( "layers",
+        [
+          Alcotest.test_case "sites are the ledger's layers" `Quick
+            test_sites_are_ledger_layers;
+          Alcotest.test_case "boundary span counts" `Quick test_boundary_counts;
         ] );
       ( "determinism",
         [
