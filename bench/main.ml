@@ -1,27 +1,18 @@
-(* The paper's full evaluation in one executable.
+(* The paper's CPU-overhead measurement, the CI smoke run and the
+   ablations; the figures themselves run under `bin/acdc_expt.exe`.
 
-   Two parts:
+   - cpu: Bechamel microbenchmarks of the vSwitch datapath — the simulator
+     equivalent of Figs. 11-12's CPU overhead measurement.  The paper
+     compares `sar` CPU% of OVS with and without AC/DC at 100..10K
+     concurrent connections; we measure ns/packet through the same
+     interception points, which is the quantity that CPU% proxies.
+   - smoke: a fast end-to-end run for CI, written as one run report.
+   - ablation-fack, ablation-floor: the ablations called out in DESIGN.md.
 
-   1. Bechamel microbenchmarks of the vSwitch datapath — the simulator
-      equivalent of Figs. 11-12's CPU overhead measurement.  The paper
-      compares `sar` CPU% of OVS with and without AC/DC at 100..10K
-      concurrent connections; we measure ns/packet through the same
-      interception points, which is the quantity that CPU% proxies.
-
-   2. One reproduction run per table and figure of §2/§5 (the Registry
-      drives the same code as `bin/acdc_expt.exe`), printing the rows and
-      CDFs the paper plots, plus the ablations called out in DESIGN.md.
-
-   Every invocation also writes a machine-readable BENCH.json summary
-   (wall time, simulator events/sec and the metric snapshot per scenario,
-   plus ns/op per microbenchmark) so the perf trajectory is tracked
-   PR-over-PR; see README "BENCH.json schema".
-
-   Run with: dune exec bench/main.exe            (everything)
+   Run with: dune exec bench/main.exe            (cpu and both ablations)
              dune exec bench/main.exe -- cpu     (microbenchmarks only)
-             dune exec bench/main.exe -- fig8    (one experiment)
-             dune exec bench/main.exe -- smoke   (fast CI smoke run)
-             dune exec bench/main.exe -- smoke -o out.json *)
+             dune exec bench/main.exe -- smoke --report REPORT.json
+   Any other argument exits 1 before anything runs. *)
 
 module Engine = Eventsim.Engine
 module Packet = Dcpkt.Packet
@@ -323,7 +314,7 @@ let ablation_window_floor () =
 (* ------------------------------------------------------------------ *)
 (* Smoke: a fast end-to-end run for CI — exercises the switches, the
    vSwitch datapath and the AC/DC hooks in well under a second so the
-   workflow can upload a real BENCH.json on every push. *)
+   workflow can gate a real run report on every push. *)
 
 let report_out = ref "REPORT.json"
 
@@ -418,77 +409,53 @@ let smoke () =
 
 (* ------------------------------------------------------------------ *)
 
-let registry_bench id =
-  match Experiments.Registry.find id with
-  | Some e ->
-    let t0 = Unix.gettimeofday () in
-    e.Experiments.Registry.run ();
-    Format.printf "  [%s finished in %.1fs]@." id (Unix.gettimeofday () -. t0)
-  | None -> Format.eprintf "unknown experiment %s@." id
+let scenarios =
+  [
+    ("cpu", fun () -> run_cpu_bench ());
+    ("smoke", smoke);
+    ("ablation-fack", ablation_fack);
+    ("ablation-floor", ablation_window_floor);
+  ]
 
-let all_ids = Experiments.Registry.ids () @ [ "cpu"; "ablation-fack"; "ablation-floor" ]
-
-let run_one = function
-  | "cpu" -> run_cpu_bench ()
-  | "smoke" -> smoke ()
-  | "ablation-fack" -> ablation_fack ()
-  | "ablation-floor" -> ablation_window_floor ()
-  | id -> registry_bench id
-
-(* BENCH.json: one sidecar object per scenario (wall time, simulator
-   events/sec, metric snapshot) plus the microbenchmark rows, so tooling
-   can diff runs without scraping the pretty-printed output. *)
-let bench_json ~scenarios =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.String "acdc-bench/1");
-      ("scenarios", Obs.Json.List (List.rev scenarios));
-      ( "cpu",
-        Obs.Json.List
-          (List.map
-             (fun (name, ns) ->
-               Obs.Json.Obj
-                 [ ("name", Obs.Json.String name); ("ns_per_op", Obs.Json.Float ns) ])
-             !cpu_rows) );
-    ]
+(* What no id, or [all], runs: everything but the CI smoke run. *)
+let all_ids = [ "cpu"; "ablation-fack"; "ablation-floor" ]
 
 let () =
-  let rec parse ids out = function
-    | [] -> (List.rev ids, out)
-    | "-o" :: path :: rest -> parse ids (Some path) rest
-    | "--report" :: path :: rest ->
-      report_out := path;
-      parse ids out rest
+  (* Sinks open only once every argument is known to be valid, so a typo
+     creates no file and runs nothing. *)
+  let rec parse ids setup = function
+    | [] -> (List.rev ids, List.rev setup)
+    | "--report" :: path :: rest -> parse ids ((fun () -> report_out := path) :: setup) rest
     | "--trace" :: path :: rest ->
-      Obs.Runtime.trace_to_file path;
-      parse ids out rest
+      parse ids ((fun () -> Obs.Runtime.trace_to_file path) :: setup) rest
     | "--pcap" :: path :: rest ->
-      Obs.Runtime.pcap_to_file path;
-      parse ids out rest
+      parse ids ((fun () -> Obs.Runtime.pcap_to_file path) :: setup) rest
     | "--timeseries" :: dir :: rest ->
-      Obs.Runtime.set_timeseries_sink ~dir;
-      parse ids out rest
-    | "--profile" :: rest ->
-      Obs.Runtime.profile_to ();
-      parse ids out rest
+      parse ids ((fun () -> Obs.Runtime.set_timeseries_sink ~dir) :: setup) rest
+    | "--profile" :: rest -> parse ids ((fun () -> Obs.Runtime.profile_to ()) :: setup) rest
     | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--profile=" ->
-      Obs.Runtime.profile_to ~folded:(String.sub arg 10 (String.length arg - 10)) ();
-      parse ids out rest
-    | arg :: rest -> parse (arg :: ids) out rest
+      let folded = String.sub arg 10 (String.length arg - 10) in
+      parse ids ((fun () -> Obs.Runtime.profile_to ~folded ()) :: setup) rest
+    | arg :: rest -> parse (arg :: ids) setup rest
   in
-  let ids, out = parse [] None (List.tl (Array.to_list Sys.argv)) in
+  let ids, setup = parse [] [] (List.tl (Array.to_list Sys.argv)) in
   let ids = match ids with [] | [ "all" ] -> all_ids | ids -> ids in
-  let out = Option.value out ~default:"BENCH.json" in
-  Format.printf "AC/DC TCP evaluation: every table and figure of He et al., SIGCOMM 2016@.";
-  let scenarios =
-    List.fold_left
-      (fun acc id ->
-        let wall_s, events = Experiments.Harness.timed_run (fun () -> run_one id) in
-        Experiments.Harness.run_sidecar ~id ~wall_s ~events :: acc)
-      [] ids
-  in
-  Experiments.Harness.write_json ~path:out (bench_json ~scenarios);
+  (match List.filter (fun id -> not (List.mem_assoc id scenarios)) ids with
+  | [] -> ()
+  | unknown ->
+    Format.eprintf
+      "bench: unknown argument(s): %s@.valid ids: %s, or all (the paper's figures run under \
+       bin/acdc_expt.exe)@.flags: --report FILE, --trace FILE, --pcap FILE, --timeseries DIR, \
+       --profile[=FILE]@."
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst scenarios));
+    exit 1);
+  List.iter (fun open_sink -> open_sink ()) setup;
+  List.iter
+    (fun id ->
+      let wall_s, _ = Experiments.Harness.timed_run (List.assoc id scenarios) in
+      Format.printf "  [%s finished in %.1fs]@." id wall_s)
+    ids;
   Obs.Runtime.close_trace ();
   Obs.Runtime.close_pcap ();
-  Obs.Runtime.close_profile ();
-  Format.printf "@.wrote %s@." out
+  Obs.Runtime.close_profile ()

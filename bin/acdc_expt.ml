@@ -7,41 +7,38 @@ let list_experiments () =
     (Experiments.Registry.all ())
 
 (* Run each experiment bracketed by the observability harness; returns
-   per-id timings plus one machine-readable sidecar for --metrics-out. *)
+   each id's wall time and simulator event count. *)
 let run_ids ids =
   let missing = List.filter (fun id -> Experiments.Registry.find id = None) ids in
   if missing <> [] then begin
     Format.eprintf "unknown experiment(s): %s@." (String.concat ", " missing);
     exit 1
   end;
-  List.rev
-    (List.fold_left
-       (fun acc id ->
-         match Experiments.Registry.find id with
-         | Some e ->
-           let wall_s, events =
-             Experiments.Harness.timed_run (fun () -> e.Experiments.Registry.run ())
-           in
-           Format.printf "  [%s finished in %.1fs]@." id wall_s;
-           (id, wall_s, events, Experiments.Harness.run_sidecar ~id ~wall_s ~events) :: acc
-         | None -> assert false)
-       [] ids)
+  List.map
+    (fun id ->
+      let e = Option.get (Experiments.Registry.find id) in
+      let wall_s, events =
+        Experiments.Harness.timed_run (fun () -> e.Experiments.Registry.run ())
+      in
+      Format.printf "  [%s finished in %.1fs]@." id wall_s;
+      (id, wall_s, events))
+    ids
 
 let write_report ~path runs =
-  let report =
-    Obs.Report.create ~id:(String.concat "+" (List.map (fun (id, _, _, _) -> id) runs)) ()
-  in
+  let ids = List.map (fun (id, _, _) -> id) runs in
+  let report = Obs.Report.create ~id:(String.concat "+" ids) () in
   Obs.Report.add_config report "experiments"
-    (Obs.Json.List (List.map (fun (id, _, _, _) -> Obs.Json.String id) runs));
+    (Obs.Json.List (List.map (fun id -> Obs.Json.String id) ids));
   List.iter
-    (fun (id, wall_s, events, _) ->
+    (fun (id, wall_s, events) ->
       Obs.Report.add_scalar report (id ^ ".wall_s") wall_s;
+      Obs.Report.add_int report (id ^ ".events") events;
       Obs.Report.add_scalar report (id ^ ".events_per_sec")
         (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0))
     runs;
-  (* The ambient observers hold the last experiment's state (timed_run
-     resets between runs); the per-experiment snapshots and profiles ride
-     in the sidecars written by --metrics-out. *)
+  (* The observer sections describe the last experiment only (timed_run
+     resets between runs); for one report per experiment, run each id on
+     its own, as farm.exe does. *)
   Experiments.Harness.add_observer_sections report;
   Obs.Report.write report ~path
 
@@ -87,15 +84,11 @@ let pcap_arg =
   in
   Arg.(value & opt (some string) None & info [ "pcap" ] ~docv:"FILE" ~doc)
 
-let metrics_arg =
-  let doc = "Write per-experiment metric snapshots (JSON) to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
 let profile_arg =
   let doc =
     "Profile the run: per-layer span counts, wall time and allocation words are added to \
-     --report / --metrics-out output, and flamegraph-compatible folded stacks are written to \
-     $(docv) (default 'profile.folded' when the flag is given bare)."
+     the --report output, and flamegraph-compatible folded stacks are written to $(docv) \
+     (default 'profile.folded' when the flag is given bare)."
   in
   Arg.(
     value
@@ -184,7 +177,7 @@ let run_fuzz ~count ~seed ~report =
   end;
   violations
 
-let main verbose list trace trace_filter pcap metrics_out report timeseries impair profile
+let main verbose list trace trace_filter pcap report timeseries impair profile
     int_enabled attrib_enabled fuzz seed ids =
   setup_logs verbose;
   if int_enabled then Dcpkt.Int_meta.set_enabled true;
@@ -256,12 +249,6 @@ let main verbose list trace trace_filter pcap metrics_out report timeseries impa
     let runs = run_ids ids in
     Option.iter
       (fun path ->
-        Experiments.Harness.write_json ~path
-          (Obs.Json.List (List.map (fun (_, _, _, sidecar) -> sidecar) runs));
-        Format.printf "  [metrics written to %s]@." path)
-      metrics_out;
-    Option.iter
-      (fun path ->
         write_report ~path runs;
         Format.printf "  [report written to %s]@." path)
       report;
@@ -281,7 +268,7 @@ let cmd =
   Cmd.v info
     Term.(
       const main $ verbose_arg $ list_arg $ trace_arg $ trace_filter_arg $ pcap_arg
-      $ metrics_arg $ report_arg $ timeseries_arg $ impair_arg $ profile_arg $ int_arg
+      $ report_arg $ timeseries_arg $ impair_arg $ profile_arg $ int_arg
       $ attrib_arg $ fuzz_arg $ seed_arg $ ids_arg)
 
 let () = exit (Cmd.eval cmd)

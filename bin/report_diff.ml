@@ -1,5 +1,5 @@
-(* Compare two run reports / BENCH.json files field by field and exit
-   nonzero on regression — the CI gate behind the bench artifacts.
+(* Compare two run reports field by field and exit nonzero on
+   regression — the CI gate behind the bench smoke report.
 
    Exit codes: 0 no regression, 1 regression found, 2 usage / IO / parse
    error. *)

@@ -138,42 +138,6 @@ let reset_run_metrics () =
   Obs.Runtime.reset_attrib ();
   Acdc.Int_feedback.reset ()
 
-let metrics_json () = Obs.Metrics.to_json (Obs.Runtime.metrics ())
-
-let run_sidecar ~id ~wall_s ~events =
-  let fields =
-    [
-      ("id", Obs.Json.String id);
-      ("wall_s", Obs.Json.Float wall_s);
-      ("events", Obs.Json.Int events);
-      ( "events_per_sec",
-        Obs.Json.Float (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0) );
-      ("metrics", metrics_json ());
-    ]
-  in
-  let fields =
-    if Obs.Prof.touched () then
-      fields
-      @ List.map (fun (key, v) -> (key, Obs.Json.Float v)) (Obs.Prof.baselines ())
-      @ [ ("profile", Obs.Prof.to_json ()) ]
-    else fields
-  in
-  let sink = Obs.Runtime.int_sink () in
-  let fields =
-    if Obs.Int_sink.touched sink then fields @ [ ("int", Obs.Int_sink.to_json sink) ]
-    else fields
-  in
-  let attrib = Obs.Runtime.attrib () in
-  Obs.Json.Obj
-    (if Obs.Attrib.touched attrib then
-       fields @ [ ("fct_attrib", Obs.Attrib.to_json attrib) ]
-     else fields)
-
-let write_json ~path json =
-  let oc = open_out path in
-  Obs.Json.to_channel oc json;
-  close_out oc
-
 let timed_run f =
   reset_run_metrics ();
   (* Per-run span attribution: each timed scenario starts from clean

@@ -91,20 +91,12 @@ val pctl : Dcstats.Samples.t -> float -> float
 
     Experiments register their counters in the ambient
     {!Obs.Runtime.metrics} registry; the driver brackets each run with
-    [timed_run] and emits a JSON sidecar per figure. *)
+    [timed_run] and writes what the run gathered into its
+    {!Obs.Report} ({!report_of_run} or {!add_observer_sections}). *)
 
 val reset_run_metrics : unit -> unit
 (** Zero the ambient registry — call before a run for a per-run view. *)
 
-val metrics_json : unit -> Obs.Json.t
-(** Snapshot of the ambient registry. *)
-
 val timed_run : (unit -> unit) -> float * int
 (** [timed_run f] resets the run metrics, runs [f], and returns
     [(wall_seconds, simulator_events_fired)]. *)
-
-val run_sidecar : id:string -> wall_s:float -> events:int -> Obs.Json.t
-(** One experiment's machine-readable summary: id, wall time, events/sec
-    and the metric snapshot (call right after [timed_run]). *)
-
-val write_json : path:string -> Obs.Json.t -> unit

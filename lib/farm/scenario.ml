@@ -71,13 +71,11 @@ let bench_smoke ~exe =
           [
             exe;
             "smoke";
-            "-o";
-            Filename.concat dir "BENCH.json";
             "--report";
             report;
             (* Profile every cached smoke run: the report grows a profile
                section (dashboard panel, ns/packet baselines) and the
-               folded stacks become a cached artifact next to BENCH.json. *)
+               folded stacks become a cached artifact next to it. *)
             "--profile=" ^ Filename.concat dir "profile.folded";
             (* Trace + pcap cover the INT- and attribution-enabled
                simulation portion (closed before the cpu microbench), so

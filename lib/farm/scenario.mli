@@ -44,5 +44,5 @@ val fuzz : exe:string -> seeds:int list -> t list
     cached, so it re-runs (and keeps failing CI) until fixed. *)
 
 val bench_smoke : exe:string -> t list
-(** The CI smoke benchmark, run as
-    [exe smoke -o <dir>/BENCH.json --report <path>]. *)
+(** The CI smoke benchmark, run as [exe smoke --report <path>] with its
+    folded profile stacks, trace and pcap written into [<dir>]. *)

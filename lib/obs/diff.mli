@@ -1,5 +1,5 @@
-(** Field-by-field comparison of two JSON artifacts ({!Report} output or
-    [BENCH.json]) with per-metric relative tolerances — the engine behind
+(** Field-by-field comparison of two JSON artifacts (normally {!Report}
+    output) with per-metric relative tolerances — the engine behind
     [bin/report_diff.exe], kept in the library so the regression gate
     itself is unit-tested.
 

@@ -25,7 +25,7 @@ val to_string : t -> string
 
 val to_string_pretty : t -> string
 (** Two-space indented rendering for files meant to be read by humans
-    ([BENCH.json], run reports, metric sidecars). *)
+    (run reports, the farm corpus). *)
 
 val to_channel : out_channel -> t -> unit
 (** [to_string_pretty] followed by a newline. *)

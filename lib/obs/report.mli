@@ -59,7 +59,7 @@ val write : t -> path:string -> unit
     format. *)
 
 val read_file : path:string -> (Json.t, string) result
-(** Parse any report-shaped artifact ([acdc-report/1], [acdc-bench/1],
+(** Parse any report-shaped artifact ([acdc-report/1], [acdc-farm-meta/1],
     ...) back into JSON.  [Error] on unreadable files, parse failures, or
     documents without a string ["schema"] field. *)
 

@@ -118,8 +118,9 @@ let binned_rate ch ~bin ~until =
   let pts = Array.of_list (points ch) in
   (* Last cumulative value strictly before [time]; 0 before the first
      point.  Strict, so an increment recorded exactly at a bin edge t is
-     attributed to bin [t / bin] — the same convention as
-     [Dcstats.Meter.Series.windowed_rate]. *)
+     attributed to bin [t / bin] — the same convention as the exact
+     per-increment [windowed_rate] that test/test_report.ml holds this
+     function to. *)
   let level_at =
     let cursor = ref 0 in
     fun time ->

@@ -13,7 +13,7 @@
    guard with [if !Profcore.on then ...] so the disabled path does no call,
    no closure and no allocation.  The enabled path is allocation-free too,
    except for [Gc.counters]'s own result (a tuple of three boxed floats),
-   whose cost is calibrated once and subtracted — see [sample_cost]. *)
+   whose cost is calibrated once and subtracted — see [sample_cost_minor]. *)
 
 external clock_ns : unit -> int = "prof_clock_ns" [@@noalloc]
 
@@ -107,18 +107,25 @@ let depth_ref = ref 0
 let on = ref false
 let enabled () = !on
 
-(* [Gc.counters] allocates its result tuple *after* reading the counters,
-   so a call's own cost shows up in every *later* sample.  [sample_calls]
-   counts samples; each frame records the count at entry and the exact
-   per-sample cost (calibrated below) times the samples taken inside the
-   span window is subtracted from its allocation delta — without this,
-   every child span would charge ~10 words to its parent. *)
+(* Minor words come from [Gc.minor_words], which is exact and, unboxed,
+   allocates nothing.  [Gc.counters]'s minor count is not: on OCaml 5.1 it
+   counts the words still in the minor heap at an eighth of their number,
+   and the rest arrive in one lump at the next minor collection, charged
+   to whichever span is open then — so a span's words would depend on
+   where collections fall, that is on everything the process allocated
+   before the run.  Major words still come from [Gc.counters], which
+   allocates its result tuple *after* reading the counters, so each
+   sample's tuple lands in the window of every span open around it.
+   [sample_calls] counts samples; each frame records the count at entry and
+   the exact per-sample cost (calibrated below) times the samples taken
+   inside the span window is subtracted from its minor-word delta —
+   without this, every child span would charge ~10 words to its parent. *)
 let sample_calls = ref 0
 
 let sample_cost_minor =
-  let a, _, _ = Gc.counters () in
-  let b, _, _ = Gc.counters () in
-  b -. a
+  let a = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Gc.counters ()));
+  Gc.minor_words () -. a
 
 let grow_frames () =
   let cap = 2 * !frame_cap in
@@ -143,9 +150,9 @@ let enter site =
      span (it lands in the parent's window, like all profiler overhead
      that [sample_cost_minor] does not cover — node creation is cold). *)
   !frame_t0.(d) <- clock_ns ();
-  let mw, _, gw = Gc.counters () in
+  !frame_mw0.(d) <- Gc.minor_words ();
+  let _, _, gw = Gc.counters () in
   incr sample_calls;
-  !frame_mw0.(d) <- mw;
   !frame_gw0.(d) <- gw;
   !frame_s0.(d) <- !sample_calls;
   d
@@ -154,7 +161,8 @@ let pop1 () =
   let d = !depth_ref - 1 in
   (* Sample first: accumulator updates below are excluded from the span. *)
   let t1 = clock_ns () in
-  let mw1, _, gw1 = Gc.counters () in
+  let mw1 = Gc.minor_words () in
+  let _, _, gw1 = Gc.counters () in
   let s1 = !sample_calls in
   incr sample_calls;
   depth_ref := d;

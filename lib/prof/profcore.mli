@@ -35,7 +35,9 @@
 
     The enabled path performs no OCaml allocation beyond [Gc.counters]'s
     own result, whose exact cost is calibrated at startup and subtracted
-    from every span's allocation delta.  Counts and allocation words are
+    from every span's allocation delta.  Minor words are exact (read with
+    [Gc.minor_words]): the words the span's code allocated, whatever the
+    process allocated before.  Counts and allocation words are
     deterministic for a seeded run; ns fields carry wall-clock noise. *)
 
 external clock_ns : unit -> int = "prof_clock_ns" [@@noalloc]

@@ -53,6 +53,31 @@ let test_span_accounting () =
         check_int ("silent site " ^ st.Prof.s_name) 0 st.Prof.s_count)
     (Prof.snapshot ())
 
+(* Minor words are exact, whatever the heap held before the span: a span
+   charges the words its own code and its nested spans allocated, and none
+   of the profiler's own samples. *)
+let test_minor_words_exact () =
+  let nested () =
+    let outer = Prof.enter Prof.Site.netsim_switch in
+    ignore (Sys.opaque_identity (Array.make 100 0));
+    let inner = Prof.enter Prof.Site.netsim_txq in
+    ignore (Sys.opaque_identity (Array.make 50 0));
+    Prof.leave inner;
+    Prof.leave outer
+  in
+  let words name = (find_site name).Prof.s_minor_words in
+  Prof.reset ();
+  Prof.set_enabled true;
+  (* The first pass builds the folded-stack nodes for this path. *)
+  nested ();
+  let inner0 = words "netsim.txq" and outer0 = words "netsim.switch" in
+  nested ();
+  Prof.set_enabled false;
+  let check_words = Alcotest.(check (float 0.0)) in
+  check_words "inner span: a 50-element array" 51.0 (words "netsim.txq" -. inner0);
+  check_words "outer span: its own 101 words plus the inner span's" 152.0
+    (words "netsim.switch" -. outer0)
+
 let test_exception_unwind () =
   Prof.reset ();
   Prof.set_enabled true;
@@ -176,13 +201,13 @@ let strip_keys drop json =
 (* Wall-clock leaves are noise by design and always excluded. *)
 let wall_keys = [ "total_ns"; "max_ns"; "events_per_sec" ]
 
-(* [Gc.minor_words] is documented as an approximation in native code (the
-   young pointer lives in a register and is only synced at GC points), so
-   allocation deltas drift between two runs *inside one process* as heap
-   state evolves.  The approximation replays deterministically in a fresh
-   process, which is what the alloc-word byte-identity criterion is about
-   — see [test_cross_process_determinism] below. *)
-let alloc_keys = [ "minor_words"; "major_words" ]
+(* Minor words are exact, so two same-seed runs in one process allocate
+   the same.  Major words are not: what a minor collection promotes
+   depends on where collections fall, which moves as heap state evolves
+   inside one process.  They replay deterministically in a fresh process,
+   which is what the alloc-word byte-identity criterion is about — see
+   [test_cross_process_determinism] below. *)
+let alloc_keys = [ "major_words" ]
 
 let profiled_mini_run () =
   Experiments.Harness.reset_run_metrics ();
@@ -197,7 +222,7 @@ let test_seeded_determinism () =
   let render json = Json.to_string (strip_keys (wall_keys @ alloc_keys) json) in
   let first = profiled_mini_run () in
   let second = profiled_mini_run () in
-  check_string "counts and gauges byte-identical across same-seed runs"
+  check_string "counts, gauges and minor words byte-identical across same-seed runs"
     (render first) (render second)
 
 (* The full criterion — counts AND allocation words byte-identical across
@@ -234,15 +259,30 @@ let test_cross_process_determinism () =
   check_string "profile (incl. alloc words) byte-identical across processes"
     first second
 
+(* A profiled run with INT and attribution on: the one report carries
+   every observer section and cost baseline a run produces. *)
 let test_report_carries_profile () =
   Experiments.Harness.reset_run_metrics ();
   Prof.reset ();
   Prof.set_enabled true;
-  mini_run ~pairs:2 ~duration_ms:10;
-  let report = Experiments.Harness.report_of_run ~id:"prof-test" () in
-  let json = Obs.Report.to_json report in
-  Prof.set_enabled false;
-  check_bool "profile section present" true (Json.member "profile" json <> None);
+  let attrib = Obs.Runtime.attrib () in
+  Obs.Attrib.set_enabled attrib true;
+  Dcpkt.Int_meta.set_enabled true;
+  let json =
+    Fun.protect
+      ~finally:(fun () ->
+        Prof.set_enabled false;
+        Obs.Attrib.set_enabled attrib false;
+        Dcpkt.Int_meta.set_enabled false)
+      (fun () ->
+        mini_run ~pairs:2 ~duration_ms:10;
+        Obs.Report.to_json (Experiments.Harness.report_of_run ~id:"prof-test" ()))
+  in
+  let observer_sections = [ "metrics"; "timeseries"; "profile"; "int"; "fct_attrib" ] in
+  let keys = match json with Json.Obj fields -> List.map fst fields | _ -> [] in
+  Alcotest.(check (list string))
+    "observer sections, in order" observer_sections
+    (List.filter (fun k -> List.mem k observer_sections) keys);
   let scalar name =
     match Option.bind (Json.member "scalars" json) (Json.member name) with
     | Some (Json.Float v) -> v
@@ -342,6 +382,7 @@ let () =
         [
           Alcotest.test_case "disabled profiler records nothing" `Quick test_disabled_noop;
           Alcotest.test_case "span accounting" `Quick test_span_accounting;
+          Alcotest.test_case "minor words are exact" `Quick test_minor_words_exact;
           Alcotest.test_case "exception unwinds abandoned frames" `Quick
             test_exception_unwind;
           Alcotest.test_case "engine dispatch span survives a raise" `Quick

@@ -122,11 +122,33 @@ let test_probe_stop_drains () =
 (* ------------------------------------------------------------------ *)
 (* Timeseries: binned rates vs the exact increment sum                 *)
 
+(* The reference [Ts.binned_rate] is held to: byte increments
+   [(time, bytes)], in time order, summed into [bin]-wide intervals from
+   0 to [until], as [(bin_end_sec, gbps)] per interval. *)
+let windowed_rate increments ~bin ~until =
+  let bins = ((until + bin - 1) / bin) + 1 in
+  let acc = Array.make bins 0.0 in
+  List.iter
+    (fun (time, bytes) ->
+      let idx = time / bin in
+      if idx < bins then acc.(idx) <- acc.(idx) +. bytes)
+    increments;
+  let secs = Time_ns.to_sec bin in
+  List.init bins (fun i -> (Time_ns.to_sec ((i + 1) * bin), acc.(i) *. 8.0 /. secs /. 1e9))
+
+let test_series_windowed_rate () =
+  (* 1250 bytes in each of two 1-us bins = 10 Gb/s. *)
+  match windowed_rate [ (100, 1250.0); (1_100, 1250.0) ] ~bin:1_000 ~until:2_000 with
+  | (_, r1) :: (_, r2) :: _ ->
+    approx "bin 1 rate" 10.0 r1;
+    approx "bin 2 rate" 10.0 r2
+  | _ -> Alcotest.fail "expected two bins"
+
 let test_binned_rate_matches_windowed_rate () =
   let engine = Engine.create () in
   let ts = Ts.create engine in
   let ch = Ts.channel ts ~budget:4096 "bytes" in
-  let series = Dcstats.Meter.Series.create () in
+  let increments = ref [] in
   let rng = Eventsim.Rng.create ~seed:7 in
   let level = ref 0.0 in
   let time = ref 0 in
@@ -134,11 +156,11 @@ let test_binned_rate_matches_windowed_rate () =
     time := !time + Eventsim.Rng.int rng 40_000;
     let inc = float_of_int (Eventsim.Rng.int rng 3_000) in
     level := !level +. inc;
-    Dcstats.Meter.Series.record series ~time:!time inc;
+    increments := (!time, inc) :: !increments;
     Ts.record ch ~now:!time !level
   done;
   let bin = Time_ns.ms 1 and until = Time_ns.ms 12 in
-  let expected = Dcstats.Meter.Series.windowed_rate series ~bin ~until in
+  let expected = windowed_rate (List.rev !increments) ~bin ~until in
   let got = Ts.binned_rate ch ~bin ~until in
   check_int "same bin count" (List.length expected) (List.length got);
   List.iter2
@@ -369,6 +391,7 @@ let () =
           Alcotest.test_case "channel find-or-create" `Quick test_channel_idempotent;
           Alcotest.test_case "probe sampling" `Quick test_probe_counts;
           Alcotest.test_case "stop drains the queue" `Quick test_probe_stop_drains;
+          Alcotest.test_case "series windowed rate" `Quick test_series_windowed_rate;
           Alcotest.test_case "binned_rate = windowed_rate" `Quick
             test_binned_rate_matches_windowed_rate;
           Alcotest.test_case "binned_rate under decimation" `Quick
