@@ -12,19 +12,24 @@
     time [<= until] — an event scheduled {e exactly at} [until] fires, it
     does not stay queued — and leaves the clock at [until] with strictly
     later events still pending.  The queue is the hierarchical
-    {!Timing_wheel} (O(1) amortized, pooled cells).  The differential
-    harness in [test/test_eventsim.ml] holds this engine to the contract
-    against a small reference engine built on a binary heap that lives
-    only in the test tree.
+    {!Timing_wheel} (O(1) amortized).  The differential harness in
+    [test/test_eventsim.ml] holds this engine to the contract against a
+    small reference engine built on a binary heap that lives only in the
+    test tree.
 
     {2 Allocation}
 
-    Event records are pooled too, so dispatch and {!schedule_static}
-    allocate nothing once the pools have grown to the peak number of
-    pending events; [test/test_alloc.ml] holds [schedule_static_after]
-    plus [run] under one minor word per event.  What does allocate is
-    the caller's: the closure passed to {!schedule}, and the handle
-    {!timer_after} returns. *)
+    Every event is one pooled {!Timing_wheel.cell}: its due time, a
+    handler and the handler's two arguments.  A closure passed to
+    {!schedule} rides one fixed handler and a timer handle another, so
+    all three entry points share the cell and its pool, and dispatch and
+    scheduling allocate nothing once the pool has grown to the peak
+    number of pending events.  What does allocate is the caller's: the
+    closure passed to {!schedule}, and the 3-word handle {!timer_after}
+    returns.  [test/test_alloc.ml] holds [schedule_static_after] and
+    [schedule_after] of a preallocated closure (each plus [run]) under
+    one minor word per event, and [timer_after] + [cancel] + [run] at
+    the handle's 3 words. *)
 
 type t
 
@@ -49,7 +54,7 @@ val schedule_after : t -> delay:Time_ns.t -> (unit -> unit) -> unit
     event.  For hot sites where the code to run is the same every time
     (txq tx-complete, link delivery, timer fire) register the code {e
     once} as a handler and schedule it with its arguments; the engine
-    stores handler and arguments in a pooled event record, so a
+    stores handler and arguments in the event's pooled cell, so a
     steady-state simulation schedules packets without allocating.
 
     A handler must be created at module initialization (once per call
@@ -65,13 +70,13 @@ val handler : ('a -> 'b -> unit) -> ('a, 'b) handler
 
 val schedule_static : t -> at:Time_ns.t -> ('a, 'b) handler -> 'a -> 'b -> unit
 (** Like [schedule] but allocation-free: the two arguments ride in the
-    pooled event cell.  Pass [()] for an unused slot. *)
+    event's pooled cell.  Pass [()] for an unused slot. *)
 
 val schedule_static_after : t -> delay:Time_ns.t -> ('a, 'b) handler -> 'a -> 'b -> unit
 
 val timer_after : t -> delay:Time_ns.t -> (unit -> unit) -> timer
 (** Like [schedule_after] but returns a handle that can be cancelled.
-    The queue cell is pooled; only the handle itself is allocated.  A
+    The event's cell is pooled; only the handle itself is allocated.  A
     negative [delay] raises [Invalid_argument], as [schedule_after] does. *)
 
 val cancel : timer -> unit
@@ -93,7 +98,7 @@ val step : t -> bool
 val pending_events : t -> int
 
 val free_events : t -> int
-(** Size of the engine's pooled-event free list — exposed for the
+(** Size of the engine's pool of event cells — exposed for the
     reclamation stress tests. *)
 
 val events_processed : t -> int

@@ -27,9 +27,10 @@
    earliest overflow time becomes the new position and every event now
    inside the horizon migrates into the wheels, again in list order.
 
-   Pooling.  Cells are flat mutable records on per-wheel free lists; the
-   intrusive [c_next] link doubles as slot chaining and free-list
-   threading, so steady-state push/pop allocates nothing. *)
+   Pooling.  A cell is the event itself: due time, handler, two argument
+   slots and the intrusive [c_next] link, which doubles as slot chaining
+   and free-list threading, so steady-state push/pop/release allocates
+   nothing.  One module-level [nil] sentinel ends every list. *)
 
 let bits = 5
 let slots = 1 lsl bits
@@ -50,80 +51,55 @@ let tz_table =
 
 let tz bm = tz_table.((((bm land -bm) * debruijn) land 0xFFFFFFFF) lsr 27)
 
-type 'a cell = {
+type cell = {
   mutable c_time : int;
-  mutable c_seq : int;
-  mutable c_value : 'a;
-  mutable c_next : 'a cell; (* slot / overflow / free-list link; nil = end *)
+  mutable c_fn : Obj.t -> Obj.t -> unit;
+  mutable c_a : Obj.t;
+  mutable c_b : Obj.t;
+  mutable c_next : cell; (* slot / overflow / free-list link; nil = end *)
 }
 
-type 'a t = {
-  nil : 'a cell; (* per-wheel sentinel; its [c_value] is never read *)
+let empty = Obj.repr 0
+let nop2 (_ : Obj.t) (_ : Obj.t) = ()
+let rec nil = { c_time = max_int; c_fn = nop2; c_a = empty; c_b = empty; c_next = nil }
+
+type t = {
   mutable cur : int; (* wheel position: time of the last extraction *)
-  mutable seq : int;
   mutable len : int;
-  heads : 'a cell array; (* levels * slots, row-major *)
-  tails : 'a cell array;
+  heads : cell array; (* levels * slots, row-major *)
+  tails : cell array;
   bitmaps : int array; (* per-level slot occupancy *)
-  mutable ov_head : 'a cell;
-  mutable ov_tail : 'a cell;
+  mutable ov_head : cell;
+  mutable ov_tail : cell;
   mutable ov_len : int;
-  mutable free : 'a cell;
+  mutable free : cell;
   mutable free_len : int;
 }
 
-let make_nil () : 'a cell =
-  let rec nil = { c_time = max_int; c_seq = 0; c_value = Obj.magic 0; c_next = nil } in
-  nil
+let create () =
+  {
+    cur = 0;
+    len = 0;
+    heads = Array.make (levels * slots) nil;
+    tails = Array.make (levels * slots) nil;
+    bitmaps = Array.make levels 0;
+    ov_head = nil;
+    ov_tail = nil;
+    ov_len = 0;
+    free = nil;
+    free_len = 0;
+  }
 
-let create ?(capacity = 0) () =
-  let nil = make_nil () in
-  let t =
-    {
-      nil;
-      cur = 0;
-      seq = 0;
-      len = 0;
-      heads = Array.make (levels * slots) nil;
-      tails = Array.make (levels * slots) nil;
-      bitmaps = Array.make levels 0;
-      ov_head = nil;
-      ov_tail = nil;
-      ov_len = 0;
-      free = nil;
-      free_len = 0;
-    }
-  in
-  for _ = 1 to capacity do
-    let c = { c_time = 0; c_seq = 0; c_value = Obj.magic 0; c_next = t.free } in
-    t.free <- c;
-    t.free_len <- t.free_len + 1
-  done;
-  t
-
-let is_empty t = t.len = 0
 let length t = t.len
 let free_cells t = t.free_len
 let overflow_length t = t.ov_len
 
 let release t c =
-  c.c_value <- Obj.magic 0;
+  c.c_a <- empty;
+  c.c_b <- empty;
   c.c_next <- t.free;
   t.free <- c;
   t.free_len <- t.free_len + 1
-
-let alloc t ~time ~seq value =
-  if t.free == t.nil then { c_time = time; c_seq = seq; c_value = value; c_next = t.nil }
-  else begin
-    let c = t.free in
-    t.free <- c.c_next;
-    t.free_len <- t.free_len - 1;
-    c.c_time <- time;
-    c.c_seq <- seq;
-    c.c_value <- value;
-    c.c_next <- t.nil;
-    c
-  end
 
 (* Level of a timestamp relative to the current position: lowest [l] with
    [time lxor cur < 32^(l+1)].  Caller has excluded the overflow case.
@@ -135,7 +111,7 @@ let rec level_from x l = if x < 1 lsl (bits * (l + 1)) then l else level_from x 
 let level_of t time = level_from (time lxor t.cur) 0
 
 let append_overflow t c =
-  if t.ov_head == t.nil then t.ov_head <- c else t.ov_tail.c_next <- c;
+  if t.ov_head == nil then t.ov_head <- c else t.ov_tail.c_next <- c;
   t.ov_tail <- c;
   t.ov_len <- t.ov_len + 1
 
@@ -149,17 +125,31 @@ let insert t c =
     let l = level_of t c.c_time in
     let slot = (c.c_time asr (bits * l)) land mask in
     let idx = (l lsl bits) + slot in
-    if t.heads.(idx) == t.nil then t.heads.(idx) <- c else t.tails.(idx).c_next <- c;
+    if t.heads.(idx) == nil then t.heads.(idx) <- c else t.tails.(idx).c_next <- c;
     t.tails.(idx) <- c;
     t.bitmaps.(l) <- t.bitmaps.(l) lor (1 lsl slot)
   end
 
-let push t ~time value =
+let push t ~time (f : 'a -> 'b -> unit) (a : 'a) (b : 'b) =
   if time < t.cur then
     invalid_arg
       (Printf.sprintf "Timing_wheel.push: time %d is before the wheel position %d" time t.cur);
-  let c = alloc t ~time ~seq:t.seq value in
-  t.seq <- t.seq + 1;
+  let fn : Obj.t -> Obj.t -> unit = Obj.magic f in
+  let c =
+    if t.free == nil then
+      { c_time = time; c_fn = fn; c_a = Obj.repr a; c_b = Obj.repr b; c_next = nil }
+    else begin
+      let c = t.free in
+      t.free <- c.c_next;
+      t.free_len <- t.free_len - 1;
+      c.c_time <- time;
+      c.c_fn <- fn;
+      c.c_a <- Obj.repr a;
+      c.c_b <- Obj.repr b;
+      c.c_next <- nil;
+      c
+    end
+  in
   insert t c;
   t.len <- t.len + 1
 
@@ -171,12 +161,12 @@ let cascade t l =
   t.cur <- (((t.cur asr (shift + bits)) lsl bits) lor slot) lsl shift;
   let idx = (l lsl bits) + slot in
   let c = ref t.heads.(idx) in
-  t.heads.(idx) <- t.nil;
-  t.tails.(idx) <- t.nil;
+  t.heads.(idx) <- nil;
+  t.tails.(idx) <- nil;
   t.bitmaps.(l) <- t.bitmaps.(l) land lnot (1 lsl slot);
-  while !c != t.nil do
+  while !c != nil do
     let next = !c.c_next in
-    !c.c_next <- t.nil;
+    !c.c_next <- nil;
     insert t !c;
     c := next
   done
@@ -190,7 +180,7 @@ let lowest_level t = nonempty_from t.bitmaps 0
 let overflow_min t =
   let m = ref max_int in
   let c = ref t.ov_head in
-  while !c != t.nil do
+  while !c != nil do
     if !c.c_time < !m then m := !c.c_time;
     c := !c.c_next
   done;
@@ -202,33 +192,32 @@ let overflow_min t =
 let migrate t =
   t.cur <- overflow_min t;
   let c = ref t.ov_head in
-  t.ov_head <- t.nil;
-  t.ov_tail <- t.nil;
+  t.ov_head <- nil;
+  t.ov_tail <- nil;
   t.ov_len <- 0;
-  while !c != t.nil do
+  while !c != nil do
     let next = !c.c_next in
-    !c.c_next <- t.nil;
+    !c.c_next <- nil;
     if !c.c_time lxor t.cur >= horizon then append_overflow t !c else insert t !c;
     c := next
   done
 
-(* Remove and return the earliest cell.  [~limit] (or [max_int]) bounds the
-   extraction: if the earliest event is provably past the limit the wheel
-   is left untouched (beyond cascades, which never reorder or lose events
-   and never advance [cur] past a remaining event) and [nil] is returned. *)
-let rec extract t ~limit =
-  if t.len = 0 then t.nil
+(* Remove and return the earliest cell.  [~limit] bounds the extraction:
+   if the earliest event is provably past the limit the wheel is left
+   untouched (beyond cascades, which never reorder or lose events and
+   never advance [cur] past a remaining event) and [nil] is returned. *)
+let rec pop_until t ~limit =
+  if t.len = 0 then nil
   else if t.bitmaps.(0) <> 0 then begin
     let slot = tz t.bitmaps.(0) in
     let c = t.heads.(slot) in
-    if c.c_time > limit then t.nil
+    if c.c_time > limit then nil
     else begin
       t.heads.(slot) <- c.c_next;
-      if t.heads.(slot) == t.nil then begin
-        t.tails.(slot) <- t.nil;
+      if t.heads.(slot) == nil then begin
+        t.tails.(slot) <- nil;
         t.bitmaps.(0) <- t.bitmaps.(0) land lnot (1 lsl slot)
       end;
-      c.c_next <- t.nil;
       t.cur <- c.c_time;
       t.len <- t.len - 1;
       c
@@ -242,83 +231,15 @@ let rec extract t ~limit =
       let slot = tz t.bitmaps.(l) in
       let shift = bits * l in
       let base = (((t.cur asr (shift + bits)) lsl bits) lor slot) lsl shift in
-      if base > limit then t.nil
+      if base > limit then nil
       else begin
         cascade t l;
-        extract t ~limit
+        pop_until t ~limit
       end
     end
-    else if overflow_min t > limit then t.nil
+    else if overflow_min t > limit then nil
     else begin
       migrate t;
-      extract t ~limit
+      pop_until t ~limit
     end
   end
-
-let pop_until_or t ~limit ~none =
-  let c = extract t ~limit in
-  if c == t.nil then none
-  else begin
-    let v = c.c_value in
-    release t c;
-    v
-  end
-
-let pop_or t ~none = pop_until_or t ~limit:max_int ~none
-
-let pop_until t ~limit =
-  let c = extract t ~limit in
-  if c == t.nil then None
-  else begin
-    let time = c.c_time and v = c.c_value in
-    release t c;
-    Some (time, v)
-  end
-
-let pop t = pop_until t ~limit:max_int
-
-let peek_time t =
-  if t.len = 0 then None
-  else if t.bitmaps.(0) <> 0 then Some t.heads.(tz t.bitmaps.(0)).c_time
-  else begin
-    let l = lowest_level t in
-    if l < levels then begin
-      (* Slots at levels >= 1 span many instants, so the head is not
-         necessarily the earliest: scan the chain.  Cold path — the engine
-         extracts through [pop_until_or], which never needs a peek. *)
-      let slot = tz t.bitmaps.(l) in
-      let m = ref max_int in
-      let c = ref t.heads.((l lsl bits) + slot) in
-      while !c != t.nil do
-        if !c.c_time < !m then m := !c.c_time;
-        c := !c.c_next
-      done;
-      Some !m
-    end
-    else Some (overflow_min t)
-  end
-
-let clear t =
-  for idx = 0 to (levels * slots) - 1 do
-    let c = ref t.heads.(idx) in
-    while !c != t.nil do
-      let next = !c.c_next in
-      release t !c;
-      c := next
-    done;
-    t.heads.(idx) <- t.nil;
-    t.tails.(idx) <- t.nil
-  done;
-  Array.fill t.bitmaps 0 levels 0;
-  let c = ref t.ov_head in
-  while !c != t.nil do
-    let next = !c.c_next in
-    release t !c;
-    c := next
-  done;
-  t.ov_head <- t.nil;
-  t.ov_tail <- t.nil;
-  t.ov_len <- 0;
-  t.len <- 0;
-  t.cur <- 0;
-  t.seq <- 0

@@ -4,7 +4,6 @@ let cache_dir root = Filename.concat root "cache"
 let entry_dir root key = Filename.concat (cache_dir root) key
 let report_path root key = Filename.concat (entry_dir root key) "report.json"
 let meta_path root key = Filename.concat (entry_dir root key) "meta.json"
-let log_path root key = Filename.concat (entry_dir root key) "log.txt"
 
 let rec mkdir_p path =
   if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin

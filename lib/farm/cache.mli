@@ -14,7 +14,6 @@ val cache_dir : string -> string
 val entry_dir : string -> string -> string
 val report_path : string -> string -> string
 val meta_path : string -> string -> string
-val log_path : string -> string -> string
 (** [cache_dir root], [entry_dir root key], ... path helpers. *)
 
 val mkdir_p : string -> unit

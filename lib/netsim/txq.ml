@@ -9,16 +9,8 @@ module Packet = Dcpkt.Packet
    fields (a port serializes one frame at a time), and both the
    tx-complete and the delivery events are static-site handlers riding
    pooled engine cells — steady-state forwarding schedules nothing on the
-   OCaml heap.
-
-   Delivery coalescing: on the jitter-free path, delivery due times from
-   one port are nondecreasing (finish times are spaced by tx_time and
-   prop_delay is constant), so deliveries go through a second ring drained
-   by a single armed engine event.  A run of same-due packets — e.g. a
-   downstream burst after an idle gap, or tx_time rounding to 0 at
-   extreme rates — is handed over in one dispatch instead of one event
-   each.  Jitter can reorder due times, so that path schedules deliveries
-   individually. *)
+   OCaml heap.  Each frame's delivery is its own event, due [prop_delay]
+   plus its jitter draw after serialization completes. *)
 
 type t = {
   engine : Engine.t;
@@ -39,12 +31,6 @@ type t = {
   mutable cur_pkt : Packet.t;
   mutable cur_size : int;
   mutable cur_enq : Time_ns.t;
-  (* Delivery coalescing ring (jitter-free path only). *)
-  mutable d_pkt : Packet.t array;
-  mutable d_due : int array;
-  mutable d_head : int;
-  mutable d_len : int;
-  mutable d_armed : bool;
   tracer : Obs.Trace.t;
   pcap : Obs.Pcap.t;
   iface : string;
@@ -83,11 +69,6 @@ let create ?(node = "txq") ?(port = 0) engine ~rate_bps ~prop_delay ~jitter ~del
     cur_pkt = Packet.dummy;
     cur_size = 0;
     cur_enq = Time_ns.zero;
-    d_pkt = Array.make initial_ring Packet.dummy;
-    d_due = Array.make initial_ring 0;
-    d_head = 0;
-    d_len = 0;
-    d_armed = false;
     tracer = Obs.Runtime.tracer ();
     pcap = Obs.Runtime.pcap ();
     iface = Printf.sprintf "%s:%d" node port;
@@ -127,27 +108,12 @@ let grow_wait t =
   t.q_enq <- enq;
   t.q_head <- 0
 
-let grow_deliv t =
-  let cap = Array.length t.d_pkt in
-  let pkt = Array.make (2 * cap) Packet.dummy in
-  let due = Array.make (2 * cap) 0 in
-  for i = 0 to t.d_len - 1 do
-    let j = (t.d_head + i) land (cap - 1) in
-    pkt.(i) <- t.d_pkt.(j);
-    due.(i) <- t.d_due.(j)
-  done;
-  t.d_pkt <- pkt;
-  t.d_due <- due;
-  t.d_head <- 0
+(* The delivery handler: one pooled event per frame, no closure. *)
+let deliver_h : (t, Packet.t) Engine.handler = Engine.handler (fun t pkt -> t.deliver pkt)
 
-(* The delivery handler for the jittered path: one pooled event per frame,
-   no closure. *)
-let deliver_one_h : (t, Packet.t) Engine.handler =
-  Engine.handler (fun t pkt -> t.deliver pkt)
-
-(* [finish] (serialization complete), [start_next] and [deliver_batch] are
-   mutually recursive with their own static handlers; the handlers are
-   [lazy] so the recursive group ties the knot at module init. *)
+(* [finish] (serialization complete) and [start_next] are mutually
+   recursive with [finish]'s static handler; the handler is [lazy] so the
+   recursive group ties the knot at module init. *)
 let rec finish t () =
   let pkt = t.cur_pkt and size = t.cur_size and enq_ns = t.cur_enq in
   t.cur_pkt <- Packet.dummy;
@@ -170,23 +136,12 @@ let rec finish t () =
      downstream nodes will actually see. *)
   if Obs.Pcap.enabled t.pcap then Obs.Pcap.capture t.pcap ~iface:t.iface ~now pkt;
   t.on_tx_complete pkt ~size;
-  (match t.jitter with
-  | Some (rng, j) when j > 0 ->
-    let delay = Time_ns.add t.prop_delay (Eventsim.Rng.int rng j) in
-    Engine.schedule_static_after t.engine ~delay deliver_one_h t pkt
-  | Some _ | None ->
-    (* Coalescing path: append to the delivery ring; due times are
-       nondecreasing so the single armed event drains it in order. *)
-    let due = Time_ns.add now t.prop_delay in
-    if t.d_len = Array.length t.d_pkt then grow_deliv t;
-    let tail = (t.d_head + t.d_len) land (Array.length t.d_pkt - 1) in
-    t.d_pkt.(tail) <- pkt;
-    t.d_due.(tail) <- due;
-    t.d_len <- t.d_len + 1;
-    if not t.d_armed then begin
-      t.d_armed <- true;
-      Engine.schedule_static t.engine ~at:due (Lazy.force deliver_batch_h) t ()
-    end);
+  let delay =
+    match t.jitter with
+    | Some (rng, j) when j > 0 -> Time_ns.add t.prop_delay (Eventsim.Rng.int rng j)
+    | Some _ | None -> t.prop_delay
+  in
+  Engine.schedule_static_after t.engine ~delay deliver_h t pkt;
   start_next t
 
 and start_next t =
@@ -205,28 +160,7 @@ and start_next t =
       (Lazy.force finish_h) t ()
   end
 
-(* Drain every ring entry due now (one dispatch covers a whole same-instant
-   run), then re-arm for the next due time, if any. *)
-and deliver_batch t () =
-  let now = Engine.now t.engine in
-  let continue = ref true in
-  while !continue && t.d_len > 0 do
-    let h = t.d_head in
-    if t.d_due.(h) = now then begin
-      let pkt = t.d_pkt.(h) in
-      t.d_pkt.(h) <- Packet.dummy;
-      t.d_head <- (h + 1) land (Array.length t.d_pkt - 1);
-      t.d_len <- t.d_len - 1;
-      t.deliver pkt
-    end
-    else continue := false
-  done;
-  if t.d_len > 0 then
-    Engine.schedule_static t.engine ~at:t.d_due.(t.d_head) (Lazy.force deliver_batch_h) t ()
-  else t.d_armed <- false
-
 and finish_h = lazy (Engine.handler finish)
-and deliver_batch_h = lazy (Engine.handler deliver_batch)
 
 let enqueue t pkt =
   let size = Packet.wire_size pkt in

@@ -86,24 +86,6 @@ let touched t = t.packets > 0
 
 let packets t = t.packets
 
-let samples_json samples =
-  let count = Dcstats.Samples.count samples in
-  let body =
-    if count = 0 then []
-    else
-      let p q = (Printf.sprintf "p%g" q, Json.Float (Dcstats.Samples.percentile samples q)) in
-      [
-        ("mean", Json.Float (Dcstats.Samples.mean samples));
-        ("min", Json.Float (Dcstats.Samples.min samples));
-        p 50.0;
-        p 95.0;
-        p 99.0;
-        p 99.9;
-        ("max", Json.Float (Dcstats.Samples.max samples));
-      ]
-  in
-  Json.Obj (("count", Json.Int count) :: body)
-
 let to_json t =
   let hops =
     Hashtbl.fold (fun _ agg acc -> (agg.label, agg) :: acc) t.per_hop []
@@ -112,7 +94,7 @@ let to_json t =
            ( label,
              Json.Obj
                [
-                 ("sojourn_ns", samples_json agg.sojourn);
+                 ("sojourn_ns", Report.summary agg.sojourn);
                  ("max_qbytes", Json.Int agg.max_qbytes);
                  ( "mean_svc_gbps",
                    Json.Float
@@ -125,6 +107,6 @@ let to_json t =
       ("packets", Json.Int t.packets);
       ("hops", Json.Int t.hops);
       ("exceeded", Json.Int t.exceeded);
-      ("path_sojourn_ns", samples_json t.path_sojourn);
+      ("path_sojourn_ns", Report.summary t.path_sojourn);
       ("per_hop", Json.Obj hops);
     ]

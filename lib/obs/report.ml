@@ -29,11 +29,7 @@ let add_config t key v = t.config <- (key, v) :: t.config
 let add_scalar t key v = t.scalars <- (key, Json.Float v) :: t.scalars
 let add_int t key v = t.scalars <- (key, Json.Int v) :: t.scalars
 
-let summary_fields ~unit_label ~count rest =
-  ("count", Json.Int count)
-  :: (if unit_label = "" then rest else ("unit", Json.String unit_label) :: rest)
-
-let add_samples t ~name ?(unit_label = "") samples =
+let summary ?(unit_label = "") samples =
   let count = Dcstats.Samples.count samples in
   let body =
     if count = 0 then []
@@ -49,7 +45,12 @@ let add_samples t ~name ?(unit_label = "") samples =
         ("max", Json.Float (Dcstats.Samples.max samples));
       ]
   in
-  t.percentiles <- (name, Json.Obj (summary_fields ~unit_label ~count body)) :: t.percentiles
+  Json.Obj
+    (("count", Json.Int count)
+    :: (if unit_label = "" then body else ("unit", Json.String unit_label) :: body))
+
+let add_samples t ~name ?unit_label samples =
+  t.percentiles <- (name, summary ?unit_label samples) :: t.percentiles
 
 let set_metrics t registry = t.metrics <- Some (Metrics.to_json registry)
 

@@ -19,8 +19,13 @@ val add_scalar : t -> string -> float -> unit
 val add_int : t -> string -> int -> unit
 (** Headline numbers (aggregate goodput, drop counts, wall time...). *)
 
+val summary : ?unit_label:string -> Dcstats.Samples.t -> Json.t
+(** [count], then [unit] if given, then [mean], [min], [p50], [p95],
+    [p99], [p99.9] and [max] of an exact sample set (only [count] when it
+    is empty): the leaf names {!Diff.default_rules} gate. *)
+
 val add_samples : t -> name:string -> ?unit_label:string -> Dcstats.Samples.t -> unit
-(** p50/p95/p99/p99.9 (plus count, mean, min, max) of an exact sample set. *)
+(** Add the {!summary} of a sample set under [percentiles.<name>]. *)
 
 val set_metrics : t -> Metrics.t -> unit
 (** Snapshot the registry now (counters summed, gauges maxed). *)

@@ -1,7 +1,3 @@
-let track ts ~name ~interval conn =
-  Obs.Timeseries.probe ts ~name ~unit_label:"bytes" ~interval (fun () ->
-      Some (float_of_int (Fabric.Conn.bytes_acked conn)))
-
 let track_aggregate ts ~name ~interval conns =
   Obs.Timeseries.probe ts ~name ~unit_label:"bytes" ~interval (fun () ->
       Some

@@ -37,6 +37,10 @@ let check_free name words =
   if not (words < 1.0) then
     Alcotest.failf "%s: %.2f minor words per op, expected < 1" name words
 
+let check_exactly expected name words =
+  if words <> expected then
+    Alcotest.failf "%s: %.2f minor words per op, expected exactly %g" name words expected
+
 let check_at_most limit name words =
   if not (words <= limit) then
     Alcotest.failf "%s: %.2f minor words per op, expected <= %g" name words limit
@@ -50,16 +54,17 @@ let delay i = 2048 + (i * 7919 mod 2_000_000)
 
 let test_wheel () =
   let w = Timing_wheel.create () in
+  let fired = ref 0 in
+  let count (n : int ref) () = incr n in
   for i = 0 to 255 do
-    Timing_wheel.push w ~time:(delay i) (delay i)
+    Timing_wheel.push w ~time:(delay i) count fired ()
   done;
-  (* Each event's value is its own due time, so the popped value is the
-     wheel's new position. *)
-  check_free "Timing_wheel push + pop"
+  check_free "Timing_wheel push + pop_until + release"
     (words_per_op (fun i ->
-         let now = Timing_wheel.pop_or w ~none:(-1) in
-         let at = now + delay i in
-         Timing_wheel.push w ~time:at at))
+         let c = Timing_wheel.pop_until w ~limit:max_int in
+         let at = c.c_time + delay i in
+         Timing_wheel.release w c;
+         Timing_wheel.push w ~time:at count fired ()))
 
 let test_engine () =
   let engine = Engine.create () in
@@ -70,6 +75,28 @@ let test_engine () =
          Engine.schedule_static_after engine ~delay:(delay i) h fired ();
          Engine.run engine));
   Alcotest.(check int) "every event fired" (warmup + ops) !fired
+
+(* A closure or a timer rides a handler of its own in the same cell: the
+   closure costs nothing beyond itself, the timer only its handle. *)
+let test_engine_closure () =
+  let engine = Engine.create () in
+  let fired = ref 0 in
+  let bump () = incr fired in
+  check_free "Engine.schedule_after of a preallocated closure + run"
+    (words_per_op (fun i ->
+         Engine.schedule_after engine ~delay:(delay i) bump;
+         Engine.run engine));
+  Alcotest.(check int) "every closure fired" (warmup + ops) !fired
+
+let test_engine_timer () =
+  let engine = Engine.create () in
+  let fired = ref 0 in
+  let bump () = incr fired in
+  check_exactly 3.0 "Engine.timer_after + cancel + run"
+    (words_per_op (fun i ->
+         Engine.cancel (Engine.timer_after engine ~delay:(delay i) bump);
+         Engine.run engine));
+  Alcotest.(check int) "no cancelled timer fired" 0 !fired
 
 let test_rng () =
   let rng = Rng.create ~seed:7 in
@@ -281,6 +308,8 @@ let () =
         [
           Alcotest.test_case "timing wheel push + pop with cascades" `Quick test_wheel;
           Alcotest.test_case "engine static schedule + run" `Quick test_engine;
+          Alcotest.test_case "engine closure schedule + run" `Quick test_engine_closure;
+          Alcotest.test_case "engine timer schedule + cancel + run" `Quick test_engine_timer;
           Alcotest.test_case "rng draws" `Quick test_rng;
           Alcotest.test_case "flow table lookups" `Quick test_flow_table;
           Alcotest.test_case "datapath two processors" `Quick test_datapath;

@@ -86,20 +86,38 @@ let prop_heap_sorted =
    much land in the overflow list. *)
 let horizon = 1 lsl 35
 
+(* The wheel queues handler cells; these tests queue ints.  [wpush] files
+   an int as a cell whose handler records it, and [wpop_until] fires a
+   popped cell the way the engine does (read, release, call the handler)
+   and returns its time and int. *)
+let recorded = ref 0
+let record v () = recorded := v
+let wpush w ~time v = Timing_wheel.push w ~time record v ()
+
+let wpop_until w ~limit =
+  let c = Timing_wheel.pop_until w ~limit in
+  if c == Timing_wheel.nil then None
+  else begin
+    let time = c.c_time and h = c.c_fn and a = c.c_a and b = c.c_b in
+    Timing_wheel.release w c;
+    h a b;
+    Some (time, !recorded)
+  end
+
+let wpop w = wpop_until w ~limit:max_int
+
 let drain_wheel w =
-  let rec loop acc =
-    match Timing_wheel.pop w with None -> List.rev acc | Some (_, v) -> loop (v :: acc)
-  in
+  let rec loop acc = match wpop w with None -> List.rev acc | Some (_, v) -> loop (v :: acc) in
   loop []
 
 let test_wheel_ordering () =
   let w = Timing_wheel.create () in
-  List.iter (fun t -> Timing_wheel.push w ~time:t t) [ 5; 1; 9; 3; 7; 2; 8 ];
+  List.iter (fun t -> wpush w ~time:t t) [ 5; 1; 9; 3; 7; 2; 8 ];
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain_wheel w)
 
 let test_wheel_fifo_ties () =
   let w = Timing_wheel.create () in
-  List.iter (fun v -> Timing_wheel.push w ~time:42 v) [ 1; 2; 3; 4; 5 ];
+  List.iter (fun v -> wpush w ~time:42 v) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check (list int)) "insertion order preserved" [ 1; 2; 3; 4; 5 ] (drain_wheel w)
 
 (* Timestamps straddling every level boundary: slot 0 vs 31 of level 0, the
@@ -111,7 +129,7 @@ let test_wheel_cascade_boundaries () =
       1 lsl 25; (1 lsl 25) + 1; 1 lsl 30; (1 lsl 30) + (1 lsl 5); horizon - 1 ]
   in
   let w = Timing_wheel.create () in
-  List.iter (fun t -> Timing_wheel.push w ~time:t t) (List.rev times);
+  List.iter (fun t -> wpush w ~time:t t) (List.rev times);
   Alcotest.(check (list int)) "cascades preserve order" times (drain_wheel w)
 
 let test_wheel_overflow () =
@@ -120,7 +138,7 @@ let test_wheel_overflow () =
      overflow list and still come out in global time order. *)
   let far = [ horizon + 5; 3 * horizon; (2 * horizon) + 17; horizon ] in
   let near = [ 10; 999; 123_456 ] in
-  List.iter (fun t -> Timing_wheel.push w ~time:t t) (far @ near);
+  List.iter (fun t -> wpush w ~time:t t) (far @ near);
   check_bool "overflow populated" true (Timing_wheel.overflow_length w > 0);
   Alcotest.(check (list int))
     "global order across the horizon"
@@ -129,73 +147,49 @@ let test_wheel_overflow () =
 
 let test_wheel_push_past_rejected () =
   let w = Timing_wheel.create () in
-  Timing_wheel.push w ~time:100 100;
-  (match Timing_wheel.pop w with
+  wpush w ~time:100 100;
+  (match wpop w with
   | Some (100, _) -> ()
   | _ -> Alcotest.fail "expected pop at 100");
   let raised =
     try
-      Timing_wheel.push w ~time:50 50;
+      wpush w ~time:50 50;
       false
     with Invalid_argument _ -> true
   in
   check_bool "pushing before the wheel position raises" true raised;
   (* The current position itself is still legal (same-instant schedule). *)
-  Timing_wheel.push w ~time:100 101;
-  Alcotest.(check (option (pair int int))) "same instant ok" (Some (100, 101))
-    (Timing_wheel.pop w)
-
-let test_wheel_peek () =
-  let w = Timing_wheel.create () in
-  Alcotest.(check (option int)) "empty" None (Timing_wheel.peek_time w);
-  Timing_wheel.push w ~time:5_000 0;
-  Timing_wheel.push w ~time:40 1;
-  Alcotest.(check (option int)) "min" (Some 40) (Timing_wheel.peek_time w);
-  check_int "peek does not remove" 2 (Timing_wheel.length w);
-  (* Peek must find the true minimum inside a coarse slot, not the list
-     head. *)
-  let w2 = Timing_wheel.create () in
-  Timing_wheel.push w2 ~time:1_055 0;
-  Timing_wheel.push w2 ~time:1_030 1;
-  Alcotest.(check (option int)) "min within coarse slot" (Some 1_030)
-    (Timing_wheel.peek_time w2);
-  (* And in the overflow list. *)
-  let w3 = Timing_wheel.create () in
-  Timing_wheel.push w3 ~time:(3 * horizon) 0;
-  Timing_wheel.push w3 ~time:(2 * horizon) 1;
-  Alcotest.(check (option int)) "overflow min" (Some (2 * horizon)) (Timing_wheel.peek_time w3)
+  wpush w ~time:100 101;
+  Alcotest.(check (option (pair int int))) "same instant ok" (Some (100, 101)) (wpop w)
 
 let test_wheel_pop_until () =
   let w = Timing_wheel.create () in
-  List.iter (fun t -> Timing_wheel.push w ~time:t t) [ 10; 20; 30 ];
+  List.iter (fun t -> wpush w ~time:t t) [ 10; 20; 30 ];
   Alcotest.(check (option (pair int int))) "within limit" (Some (10, 10))
-    (Timing_wheel.pop_until w ~limit:25);
+    (wpop_until w ~limit:25);
   Alcotest.(check (option (pair int int))) "at limit inclusive" (Some (20, 20))
-    (Timing_wheel.pop_until w ~limit:20);
+    (wpop_until w ~limit:20);
   Alcotest.(check (option (pair int int))) "beyond limit stays" None
-    (Timing_wheel.pop_until w ~limit:25);
+    (wpop_until w ~limit:25);
   check_int "remaining" 1 (Timing_wheel.length w);
   (* A bounded pop must not advance the position past schedulable times:
      scheduling at an instant between the limit and the remaining event
      must still be legal. *)
-  Timing_wheel.push w ~time:26 26;
+  wpush w ~time:26 26;
   Alcotest.(check (list int)) "later insert honored" [ 26; 30 ] (drain_wheel w)
 
 let test_wheel_pool_reclaim () =
   let w = Timing_wheel.create () in
   for i = 1 to 1_000 do
-    Timing_wheel.push w ~time:i i
+    wpush w ~time:i i
   done;
   check_int "no free cells while full" 0 (Timing_wheel.free_cells w);
   ignore (drain_wheel w);
   check_int "all cells reclaimed" 1_000 (Timing_wheel.free_cells w);
   for i = 1_001 to 2_000 do
-    Timing_wheel.push w ~time:i i
+    wpush w ~time:i i
   done;
-  check_int "reused, not reallocated" 0 (Timing_wheel.free_cells w);
-  Timing_wheel.clear w;
-  check_int "clear reclaims" 1_000 (Timing_wheel.free_cells w);
-  check_bool "cleared" true (Timing_wheel.is_empty w)
+  check_int "reused, not reallocated" 0 (Timing_wheel.free_cells w)
 
 (* Structure-level differential: identical interleaved push/pop/pop_until
    scripts against the binary heap, which is the ordering oracle.  Pushes
@@ -232,14 +226,14 @@ let prop_wheel_matches_heap =
             let v = !next in
             incr next;
             Event_heap.push h ~time v;
-            Timing_wheel.push w ~time v
+            wpush w ~time v
           | `Pop ->
-            let a = Event_heap.pop h and b = Timing_wheel.pop w in
+            let a = Event_heap.pop h and b = wpop w in
             if a <> b then ok := false;
             (match a with Some (t, _) -> anchor := t | None -> ())
           | `Pop_until d ->
             let limit = !anchor + d in
-            let a = Event_heap.pop_until h ~limit and b = Timing_wheel.pop_until w ~limit in
+            let a = Event_heap.pop_until h ~limit and b = wpop_until w ~limit in
             if a <> b then ok := false;
             (* Mirror the engine contract: after a bounded extraction the
                clock stands at the limit (cascades may have advanced the
@@ -248,7 +242,7 @@ let prop_wheel_matches_heap =
         ops;
       (* Drain both completely: every remaining event must agree too. *)
       let rec drain () =
-        let a = Event_heap.pop h and b = Timing_wheel.pop w in
+        let a = Event_heap.pop h and b = wpop w in
         if a <> b then ok := false;
         if a <> None || b <> None then drain ()
       in
@@ -362,10 +356,13 @@ let test_step () =
 module Ref_engine = struct
   type t = { mutable clock : int; queue : (unit -> unit) Event_heap.t; mutable fired : int }
   type timer = { mutable live : bool }
+  type ('a, 'b) handler = 'a -> 'b -> unit
 
   let create () = { clock = 0; queue = Event_heap.create (); fired = 0 }
   let now t = t.clock
   let schedule_after t ~delay f = Event_heap.push t.queue ~time:(t.clock + delay) f
+  let handler f = f
+  let schedule_static_after t ~delay h x y = schedule_after t ~delay (fun () -> h x y)
 
   let timer_after t ~delay action =
     let timer = { live = true } in
@@ -400,10 +397,13 @@ end
 module type ENGINE = sig
   type t
   type timer
+  type ('a, 'b) handler
 
   val create : unit -> t
   val now : t -> int
   val schedule_after : t -> delay:int -> (unit -> unit) -> unit
+  val handler : ('a -> 'b -> unit) -> ('a, 'b) handler
+  val schedule_static_after : t -> delay:int -> ('a, 'b) handler -> 'a -> 'b -> unit
   val timer_after : t -> delay:int -> (unit -> unit) -> timer
   val cancel : timer -> unit
   val run : ?until:int -> t -> unit
@@ -415,16 +415,20 @@ end
    reference engine; the trace of observable effects — which ops fired,
    at what clock reading, plus clock/pending checkpoints after every
    [Run_for] — must match exactly.  Same-instant bursts probe FIFO
-   tie-breaks, [Far] probes the overflow path, [Cancel_refire] probes
-   cancel-then-rearm, and nested scheduling from inside callbacks probes
-   scheduling at the current instant. *)
+   tie-breaks, [Far] probes the overflow path, [Deep] puts each of the
+   three scheduling entry points (closure, timer, static handler) on the
+   outer wheel levels, [Cancel_refire] probes cancel-then-rearm, and
+   nested scheduling from inside callbacks probes scheduling at the
+   current instant. *)
 type script_op =
   | Sched of int (* delay from now *)
   | Burst of int * int (* delay, count: same-instant FIFO probe *)
   | Timer_op of int
+  | Static of int (* [schedule_static_after]; the reference schedules a closure *)
   | Cancel_nth of int (* cancel the nth timer created so far (mod) *)
   | Cancel_refire of int * int (* cancel nth, schedule a fresh timer *)
   | Far of int (* delay past the wheel horizon *)
+  | Deep of int * int (* delay / 9_973, entry point (mod 3): up to wheel level 5 *)
   | Nested of int * int (* outer delay, inner delay scheduled on fire *)
   | Run_for of int
 
@@ -437,6 +441,7 @@ let interpret (type e) (module E : ENGINE with type t = e) script =
   let nth_timer n =
     if Array.length !timers = 0 then None else Some !timers.(n mod Array.length !timers)
   in
+  let static_h = E.handler (fun i j -> emit (i, j)) in
   List.iteri
     (fun i op ->
       match op with
@@ -446,6 +451,13 @@ let interpret (type e) (module E : ENGINE with type t = e) script =
           E.schedule_after engine ~delay:d (fun () -> emit (i, j))
         done
       | Timer_op d -> add_timer (E.timer_after engine ~delay:d (fun () -> emit (i, 0)))
+      | Static d -> E.schedule_static_after engine ~delay:d static_h i 0
+      | Deep (d, k) -> (
+        let delay = d * 9_973 in
+        match k mod 3 with
+        | 0 -> E.schedule_after engine ~delay (fun () -> emit (i, 0))
+        | 1 -> add_timer (E.timer_after engine ~delay (fun () -> emit (i, 0)))
+        | _ -> E.schedule_static_after engine ~delay static_h i 0)
       | Cancel_nth n -> (
         match nth_timer n with Some t -> E.cancel t | None -> ())
       | Cancel_refire (n, d) ->
@@ -472,6 +484,8 @@ let script_gen =
            map (fun d -> Sched d) (int_bound 10_000);
            map (fun (d, n) -> Burst (d, n)) (pair (int_bound 1_000) (int_range 1 8));
            map (fun d -> Timer_op d) (int_bound 10_000);
+           map (fun d -> Static d) (int_bound 10_000);
+           map (fun (d, k) -> Deep (d, k)) (pair (int_bound 10_000) small_nat);
            map (fun n -> Cancel_nth n) small_nat;
            map (fun (n, d) -> Cancel_refire (n, d)) (pair small_nat (int_bound 10_000));
            map (fun d -> Far d) (int_bound 1_000_000);
@@ -537,7 +551,7 @@ let test_timer_stress () =
   check_int "pending drained" 0 (Engine.pending_events engine);
   check_int "live timers fired" (n - !cancelled) !fired;
   check_int "dead events dispatched without firing" n (Engine.events_processed engine);
-  (* Every pooled event record is back on the free list once the queue
+  (* Every pooled event cell is back on the free list once the queue
      drains: nothing is pending, so allocated = freed. *)
   let freed = Engine.free_events engine in
   check_bool "event pool reclaimed" true (freed > 0);
@@ -553,12 +567,12 @@ let test_wheel_cell_stress () =
   let rng = Rng.create ~seed:99 in
   let n = 1_000_000 in
   for i = 0 to n - 1 do
-    Timing_wheel.push w ~time:(Rng.int rng 1_000_000_000) i
+    wpush w ~time:(Rng.int rng 1_000_000_000) i
   done;
   check_int "all queued" n (Timing_wheel.length w);
   let popped = ref 0 in
   let rec drain last =
-    match Timing_wheel.pop w with
+    match wpop w with
     | None -> ()
     | Some (t, _) ->
       if t < last then Alcotest.fail "out of order";
@@ -570,7 +584,7 @@ let test_wheel_cell_stress () =
   check_int "every cell reclaimed to the free list" n (Timing_wheel.free_cells w);
   (* Reuse: a second load must consume the pool, not allocate. *)
   for i = 0 to (n / 2) - 1 do
-    Timing_wheel.push w ~time:(2_000_000_000 + i) i
+    wpush w ~time:(2_000_000_000 + i) i
   done;
   check_int "pool consumed on reuse" (n / 2) (Timing_wheel.free_cells w)
 
@@ -725,7 +739,6 @@ let () =
           Alcotest.test_case "cascade boundaries" `Quick test_wheel_cascade_boundaries;
           Alcotest.test_case "overflow beyond horizon" `Quick test_wheel_overflow;
           Alcotest.test_case "rejects past" `Quick test_wheel_push_past_rejected;
-          Alcotest.test_case "peek" `Quick test_wheel_peek;
           Alcotest.test_case "pop_until" `Quick test_wheel_pop_until;
           Alcotest.test_case "pool reclaim" `Quick test_wheel_pool_reclaim;
           Alcotest.test_case "1M cells stress" `Quick test_wheel_cell_stress;
