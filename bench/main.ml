@@ -338,10 +338,8 @@ let smoke () =
      0's per-hop INT samples, the aggregate goodput counter and a
      sockperf-style RTT probe all feed the run report. *)
   let ts = Experiments.Harness.new_timeseries net in
-  Obs.Int_sink.watch (Obs.Runtime.int_sink ()) ~ts ~prefix:"flow0"
-    (Fabric.Conn.key (List.hd conns));
-  Obs.Attrib.watch (Obs.Runtime.attrib ()) ~ts ~prefix:"flow0"
-    (Fabric.Conn.key (List.hd conns));
+  Obs.Int_sink.watch (Obs.Runtime.int_sink ()) ~ts (Fabric.Conn.key (List.hd conns));
+  Obs.Attrib.watch (Obs.Runtime.attrib ()) ~ts (Fabric.Conn.key (List.hd conns));
   let sample_every = Eventsim.Time_ns.us 500 in
   Array.iter
     (fun sw -> Netsim.Switch.register_probes sw ~ts ~interval:sample_every ())

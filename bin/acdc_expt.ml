@@ -26,7 +26,7 @@ let run_ids ids =
 
 let write_report ~path runs =
   let ids = List.map (fun (id, _, _) -> id) runs in
-  let report = Obs.Report.create ~id:(String.concat "+" ids) () in
+  let report = Obs.Report.create ~id:(String.concat "+" ids) in
   Obs.Report.add_config report "experiments"
     (Obs.Json.List (List.map (fun id -> Obs.Json.String id) ids));
   List.iter
@@ -72,7 +72,7 @@ let trace_filter_arg =
   let doc =
     "Filter trace events before the sink (requires --trace).  $(docv) is comma-separated \
      'flow=SRC_IP:SRC_PORT-DST_IP:DST_PORT' and 'kind=K1|K2|...' clauses; repeated values of \
-     one key union, distinct keys intersect.  Example: \
+     one key union, distinct keys intersect; an unknown kind is an error.  Example: \
      'flow=1:40000-6:5001,kind=drop|ce_mark|rwnd_rewrite'."
   in
   Arg.(value & opt (some string) None & info [ "trace-filter" ] ~docv:"SPEC" ~doc)
@@ -180,6 +180,20 @@ let run_fuzz ~count ~seed ~report =
 let main verbose list trace trace_filter pcap report timeseries impair profile
     int_enabled attrib_enabled fuzz seed ids =
   setup_logs verbose;
+  (* Parsed before any output file is opened: a bad spec creates none. *)
+  let trace_filter =
+    match trace_filter with
+    | None -> None
+    | Some spec when trace = None ->
+      Format.eprintf "--trace-filter %S requires --trace@." spec;
+      exit 1
+    | Some spec -> (
+      match Obs.Trace.filter_of_spec spec with
+      | Ok wrap -> Some wrap
+      | Error msg ->
+        Format.eprintf "bad --trace-filter spec: %s@." msg;
+        exit 1)
+  in
   if int_enabled then Dcpkt.Int_meta.set_enabled true;
   if attrib_enabled then Obs.Attrib.set_enabled (Obs.Runtime.attrib ()) true;
   Option.iter (fun folded -> Obs.Runtime.profile_to ~folded ()) profile;
@@ -187,17 +201,7 @@ let main verbose list trace trace_filter pcap report timeseries impair profile
    with Sys_error msg ->
      Format.eprintf "cannot open trace file: %s@." msg;
      exit 1);
-  (match trace_filter with
-  | None -> ()
-  | Some spec when trace = None ->
-    Format.eprintf "--trace-filter %S requires --trace@." spec;
-    exit 1
-  | Some spec -> (
-    match Obs.Trace.filter_of_spec spec with
-    | Ok wrap -> Obs.Runtime.set_tracer (wrap (Obs.Runtime.tracer ()))
-    | Error msg ->
-      Format.eprintf "bad --trace-filter spec: %s@." msg;
-      exit 1));
+  Option.iter (fun wrap -> Obs.Runtime.set_tracer (wrap (Obs.Runtime.tracer ()))) trace_filter;
   (try Option.iter Obs.Runtime.pcap_to_file pcap
    with Sys_error msg ->
      Format.eprintf "cannot open pcap file: %s@." msg;

@@ -11,12 +11,7 @@ let default_policy = { enforce = true; algorithm = Dctcp; beta = 1.0; max_rwnd =
 
 type t = {
   mss : int;
-  mtu : int;
-  g : float;
-  init_window_segments : int;
   min_window_bytes : int;
-  max_alpha : float;
-  inactivity_timeout : Eventsim.Time_ns.t;
   log_only : bool;
   fack_only : bool;
   policing_slack : int option;
@@ -27,12 +22,7 @@ type t = {
 let default ~mss =
   {
     mss;
-    mtu = mss + 40;
-    g = 1.0 /. 16.0;
-    init_window_segments = 10;
     min_window_bytes = mss;
-    max_alpha = 1.0;
-    inactivity_timeout = Eventsim.Time_ns.ms 10;
     log_only = false;
     fack_only = false;
     policing_slack = None;

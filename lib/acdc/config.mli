@@ -34,17 +34,13 @@ type policy = {
 val default_policy : policy
 
 type t = {
-  mss : int;  (** segment size used for window arithmetic *)
-  mtu : int;  (** PACK-vs-FACK decision threshold (§3.2) *)
-  g : float;  (** DCTCP EWMA gain, default 1/16 *)
-  init_window_segments : int;  (** initial enforced window, default 10 (RFC 6928) *)
+  mss : int;
+      (** segment size used for window arithmetic; the PACK-vs-FACK
+          threshold (§3.2) is the MTU [mss + 40] *)
   min_window_bytes : int;
       (** Floor of the enforced window.  Unlike Linux DCTCP's 2-packet CWND
           floor, RWND is in bytes and may sit below 2 MSS — the reason
           AC/DC beats native DCTCP in large incasts (§5.2). *)
-  max_alpha : float;  (** alpha forced on loss (Fig. 5), default 1.0 *)
-  inactivity_timeout : Eventsim.Time_ns.t;
-      (** RTO-equivalent used to infer timeouts from silence (§3.1). *)
   log_only : bool;
       (** Compute windows but do not rewrite RWND (the Fig. 9 methodology). *)
   fack_only : bool;
@@ -65,6 +61,8 @@ type t = {
 }
 
 val default : mss:int -> t
-(** Paper defaults: [mtu = mss + 40], [g = 1/16], initial window 10
-    segments, 1-MSS window floor, 10 ms inactivity timeout, no policing,
-    every flow enforced at [beta = 1.0]. *)
+(** Paper defaults: 1-MSS window floor, no policing, every flow enforced
+    at [beta = 1.0].  DCTCP's own parameters are constants of
+    {!Sender}, not configuration: an EWMA gain of 1/16, alpha forced to
+    1 on loss, a 10-segment initial window (RFC 6928, RFC 8257) and the
+    10 ms of silence that infers a flow's RTO (§3.1). *)

@@ -24,7 +24,7 @@ let create engine config =
   {
     config;
     engine;
-    table = Vswitch.Flow_table.create engine ();
+    table = Vswitch.Flow_table.create engine;
     tracer = Obs.Runtime.tracer ();
     m_packs_sent = Obs.Metrics.scope_counter scope "packs_sent";
     m_facks_sent = Obs.Metrics.scope_counter scope "facks_sent";
@@ -98,8 +98,9 @@ let egress t (pkt : Packet.t) ~inject =
       in
       let fits =
         (not t.config.Config.fack_only)
-        && Packet.wire_size pkt + 8 <= t.config.Config.mtu + 54
-        (* 54 = simulator link-layer framing; the MTU bounds IP payload *)
+        && Packet.wire_size pkt + 8 <= t.config.Config.mss + 40 + 54
+        (* the MTU, [mss + 40], bounds IP payload; 54 = simulator
+           link-layer framing *)
       in
       if fits then begin
         Packet.set_option pkt pack;

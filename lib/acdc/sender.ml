@@ -7,6 +7,15 @@ let src = Logs.Src.create "acdc.sender" ~doc:"AC/DC sender-side vSwitch module"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* DCTCP's fixed parameters (Fig. 5; RFC 8257): the EWMA gain, the alpha
+   forced on loss, and the initial window in segments (RFC 6928). *)
+let g = 1.0 /. 16.0
+let max_alpha = 1.0
+let init_window_segments = 10
+
+(* Silence this long with data outstanding is an inferred timeout (§3.1). *)
+let inactivity_timeout = Time_ns.ms 10
+
 type flow = {
   key : Flow_key.t;
   policy : Config.policy;
@@ -58,7 +67,7 @@ let create engine config =
   {
     engine;
     config;
-    table = Vswitch.Flow_table.create engine ();
+    table = Vswitch.Flow_table.create engine;
     tracer = Obs.Runtime.tracer ();
     m_rwnd_rewrites = Obs.Metrics.scope_counter scope "rwnd_rewrites";
     m_policer_drops = Obs.Metrics.scope_counter scope "policer_drops";
@@ -78,7 +87,7 @@ let fresh_flow t key seq =
     snd_una = seq;
     snd_nxt = seq;
     dupacks = 0;
-    wnd = t.config.Config.init_window_segments * t.config.Config.mss;
+    wnd = init_window_segments * t.config.Config.mss;
     ssthresh = 1 lsl 30;
     alpha = 1.0;
     last_total = 0;
@@ -130,11 +139,11 @@ let window_field flow window =
 (* Timeout inference: a lazily re-armed inactivity timer per flow.     *)
 
 let rec arm_timer t flow =
-  flow.deadline <- Time_ns.add (Engine.now t.engine) t.config.Config.inactivity_timeout;
+  flow.deadline <- Time_ns.add (Engine.now t.engine) inactivity_timeout;
   if flow.timer = None then
     flow.timer <-
       Some
-        (Engine.timer_after t.engine ~delay:t.config.Config.inactivity_timeout (fun () ->
+        (Engine.timer_after t.engine ~delay:inactivity_timeout (fun () ->
              fire_timer t flow))
 
 and fire_timer t flow =
@@ -162,7 +171,7 @@ and fire_timer t flow =
     Log.debug (fun m ->
         m "flow %a: inferred timeout (snd_una=%d snd_nxt=%d)" Flow_key.pp flow.key
           flow.snd_una flow.snd_nxt);
-    flow.alpha <- t.config.Config.max_alpha;
+    flow.alpha <- max_alpha;
     flow.ssthresh <- Stdlib.max (2 * t.config.Config.mss) (flow.wnd / 2);
     flow.wnd <- t.config.Config.mss;
     flow.window_end <- flow.snd_nxt;
@@ -312,7 +321,6 @@ let cut_window t flow =
 let update_alpha t flow =
   if flow.win_total > 0 then begin
     let fraction = float_of_int flow.win_marked /. float_of_int flow.win_total in
-    let g = t.config.Config.g in
     flow.alpha <- ((1.0 -. g) *. flow.alpha) +. (g *. fraction);
     Obs.Metrics.incr t.m_alpha_updates;
     if Obs.Trace.enabled t.tracer then
@@ -350,7 +358,7 @@ let process_feedback t flow ~acked ~congested ~loss ~rtt =
     (* Fig. 5, in order: alpha once per RTT, then loss, congestion, growth. *)
     if flow.snd_una >= flow.window_end then update_alpha t flow;
     if loss then begin
-      flow.alpha <- t.config.Config.max_alpha;
+      flow.alpha <- max_alpha;
       cut_window t flow
     end
     else if congested then cut_window t flow
@@ -435,7 +443,7 @@ let handle_ack t flow (pkt : Packet.t) =
       flow.dupacks <- 0;
       if flow.snd_una < flow.snd_nxt then arm_timer t flow
       else begin
-        flow.deadline <- Time_ns.add (Engine.now t.engine) t.config.Config.inactivity_timeout;
+        flow.deadline <- Time_ns.add (Engine.now t.engine) inactivity_timeout;
         cancel_timer flow
       end;
       bytes

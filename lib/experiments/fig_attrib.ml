@@ -127,13 +127,13 @@ module Attrib_fig = struct
     in
     { scheme = scheme.Harness.label; scenario; flows = n; mean_fct_us; fracs; top_hop }
 
-  let run ?(scenarios = [ "dumbbell"; "incast" ]) () =
+  let run () =
     List.concat_map
       (fun scenario ->
         List.map
           (fun scheme -> one scheme ~scenario)
           [ Harness.cubic; Harness.acdc () ])
-      scenarios
+      [ "dumbbell"; "incast" ]
 
   let print result =
     Harness.print_header "ext-attrib"

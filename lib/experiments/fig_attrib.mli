@@ -19,7 +19,7 @@ module Attrib_fig : sig
 
   type result = row list
 
-  val run : ?scenarios:string list -> unit -> result
+  val run : unit -> result
   (** Runs each scenario (["dumbbell"], ["incast"]) under native CUBIC and
       under AC/DC (enforced DCTCP law), with attribution and INT enabled
       for the duration of each run. *)

@@ -79,11 +79,15 @@ module Fig14 = struct
 
   type result = per_scheme list
 
-  let one scheme ~step ~bin =
+  (* Flows join, then leave, one second apart (the paper's 30 s,
+     time-scaled); goodput is binned every 100 ms. *)
+  let step_ns = Time_ns.sec 1.0
+  let bin = Time_ns.sec 0.1
+
+  let one scheme =
     let net = Harness.dumbbell scheme ~pairs:5 () in
     let engine = net.Fabric.Topology.engine in
     let config = Harness.host_config scheme net.Fabric.Topology.params in
-    let step_ns = Time_ns.sec step in
     let total = Time_ns.ns (10 * step_ns) in
     let ts = Harness.new_timeseries net in
     (* Record cumulative acked bytes (a level, not an increment) so the
@@ -119,13 +123,12 @@ module Fig14 = struct
       scheme = scheme.Harness.label;
       series =
         Array.map
-          (fun ch -> Obs.Timeseries.binned_rate ch ~bin:(Time_ns.sec bin) ~until:total)
+          (fun ch -> Obs.Timeseries.binned_rate ch ~bin ~until:total)
           byte_chans;
       drop_rate;
     }
 
-  let run ?(step = 1.0) ?(bin = 0.1) () =
-    List.map (one ~step ~bin) [ Harness.cubic; Harness.dctcp; Harness.acdc () ]
+  let run () = List.map one [ Harness.cubic; Harness.dctcp; Harness.acdc () ]
 
   let print result =
     Harness.print_header "Figure 14" "convergence: flows join then leave the bottleneck";
@@ -268,10 +271,10 @@ module Fig17 = struct
     Fabric.Topology.shutdown net;
     Fig_motivation.Fig1.summarize tputs
 
-  let run ?(trials = 10) ?(duration = 1.0) () =
+  let run ?(duration = 1.0) () =
     {
-      all_dctcp = List.init trials (fun i -> all_dctcp_trial ~duration ~seed:(3000 + i));
-      hetero_acdc = List.init trials (fun i -> hetero_acdc_trial ~duration ~seed:(4000 + i));
+      all_dctcp = List.init 10 (fun i -> all_dctcp_trial ~duration ~seed:(3000 + i));
+      hetero_acdc = List.init 10 (fun i -> hetero_acdc_trial ~duration ~seed:(4000 + i));
     }
 
   let print result =

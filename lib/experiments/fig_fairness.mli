@@ -23,9 +23,10 @@ module Fig14 : sig
 
   type result = per_scheme list
 
-  val run : ?step:float -> ?bin:float -> unit -> result
-  (** [step] is the join/leave interval in seconds (paper: 30 s, default
-      here 1.5 s — time-scaled, the dynamics are RTT-bound). *)
+  val run : unit -> result
+  (** Flows join, then leave, one second apart (paper: 30 s —
+      time-scaled, the dynamics are RTT-bound); goodput is binned every
+      100 ms. *)
 
   val print : result -> unit
 end
@@ -49,6 +50,8 @@ module Fig17 : sig
 
   type result = { all_dctcp : trial list; hetero_acdc : trial list }
 
-  val run : ?trials:int -> ?duration:float -> unit -> result
+  val run : ?duration:float -> unit -> result
+  (** Ten trials of each. *)
+
   val print : result -> unit
 end

@@ -66,7 +66,7 @@ module Int_hops = struct
     (* Flow 0 traverses the whole chain; its stamps cover every switch. *)
     let watched = Fabric.Conn.key (List.hd conns) in
     let ts = Harness.new_timeseries net in
-    Obs.Int_sink.watch (Obs.Runtime.int_sink ()) ~ts ~prefix:"flow0" watched;
+    Obs.Int_sink.watch (Obs.Runtime.int_sink ()) ~ts watched;
     let acc : (string, hop_acc) Hashtbl.t = Hashtbl.create 8 in
     let stacks = ref 0 in
     let next_order = ref 0 in

@@ -33,9 +33,9 @@ module Load_sweep = struct
       mice_p99_ms = Harness.pctl mice_fct_ms 99.0;
     }
 
-  let run ?(hosts = 9) ?(loads = [ 0.2; 0.4; 0.6 ]) ?(duration = 1.5) () =
+  let run ?(hosts = 9) ?(duration = 1.5) () =
     List.concat_map
-      (fun scheme -> List.map (fun load -> one scheme ~hosts ~load ~duration) loads)
+      (fun scheme -> List.map (fun load -> one scheme ~hosts ~load ~duration) [ 0.2; 0.4; 0.6 ])
       [ Harness.cubic; Harness.acdc () ]
 
   let print result =

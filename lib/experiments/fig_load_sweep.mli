@@ -13,6 +13,8 @@ module Load_sweep : sig
 
   type result = row list
 
-  val run : ?hosts:int -> ?loads:float list -> ?duration:float -> unit -> result
+  val run : ?hosts:int -> ?duration:float -> unit -> result
+  (** Offered loads 0.2, 0.4 and 0.6 under each scheme. *)
+
   val print : result -> unit
 end

@@ -48,9 +48,9 @@ module Incast = struct
       drop_rate;
     }
 
-  let run ?(sender_counts = [ 16; 32; 40; 47 ]) ?(duration = 1.0) () =
+  let run ?(duration = 1.0) () =
     List.concat_map
-      (fun scheme -> List.map (fun senders -> one scheme ~senders ~duration) sender_counts)
+      (fun scheme -> List.map (fun senders -> one scheme ~senders ~duration) [ 16; 32; 40; 47 ])
       schemes
 
   let print result =
@@ -169,15 +169,15 @@ let start_mice net ~hosts ~config ~fct_ms =
 module Stride = struct
   type result = fct_result list
 
-  let one scheme ~hosts ~bulk_bytes ~duration =
+  let one scheme ~hosts ~duration =
     let net = Harness.star scheme ~hosts () in
     let engine = net.Fabric.Topology.engine in
     let config = Harness.host_config scheme net.Fabric.Topology.params in
     let mice_fct = Dcstats.Samples.create () in
     let background_fct = Dcstats.Samples.create () in
     let mice = start_mice net ~hosts ~config ~fct_ms:mice_fct in
-    (* Each host cycles 512 MB-class transfers through its next four
-       neighbours, sequentially. *)
+    (* Each host cycles 64 MB transfers (the paper's 512 MB, scaled)
+       through its next four neighbours, sequentially. *)
     List.iter
       (fun i ->
         let conns =
@@ -188,7 +188,7 @@ module Stride = struct
                 ~config ())
         in
         let transfers =
-          List.concat (List.init 8 (fun _ -> List.map (fun c -> (c, bulk_bytes)) conns))
+          List.concat (List.init 8 (fun _ -> List.map (fun c -> (c, 64_000_000)) conns))
         in
         ignore
           (Workload.Apps.Sequential.start ~transfers ~concurrency:1 ~fct_ms:background_fct ()))
@@ -198,8 +198,7 @@ module Stride = struct
     Fabric.Topology.shutdown net;
     { scheme = scheme.Harness.label; mice_fct_ms = mice_fct; background_fct_ms = background_fct }
 
-  let run ?(hosts = 17) ?(bulk_bytes = 64_000_000) ?(duration = 2.0) () =
-    List.map (one ~hosts ~bulk_bytes ~duration) schemes
+  let run ?(hosts = 17) ?(duration = 2.0) () = List.map (one ~hosts ~duration) schemes
 
   let print result =
     Harness.print_header "Figure 21" "concurrent stride workload FCTs";
@@ -213,7 +212,7 @@ end
 module Shuffle = struct
   type result = fct_result list
 
-  let one scheme ~hosts ~bulk_bytes ~duration =
+  let one scheme ~hosts ~duration =
     let net = Harness.star scheme ~hosts () in
     let engine = net.Fabric.Topology.engine in
     let config = Harness.host_config scheme net.Fabric.Topology.params in
@@ -235,7 +234,7 @@ module Shuffle = struct
                      ~src:(Fabric.Topology.host net i)
                      ~dst:(Fabric.Topology.host net j)
                      ~config (),
-                   bulk_bytes ))
+                   32_000_000 ))
                order)
         in
         ignore
@@ -257,8 +256,7 @@ module Shuffle = struct
     Fabric.Topology.shutdown net;
     { scheme = scheme.Harness.label; mice_fct_ms = mice_fct; background_fct_ms = background_fct }
 
-  let run ?(hosts = 17) ?(bulk_bytes = 32_000_000) ?(duration = 3.0) () =
-    List.map (one ~hosts ~bulk_bytes ~duration) schemes
+  let run ?(hosts = 17) ?(duration = 3.0) () = List.map (one ~hosts ~duration) schemes
 
   let print result =
     Harness.print_header "Figure 22" "shuffle workload FCTs";
@@ -274,9 +272,9 @@ module Traces = struct
 
   type result = row list
 
-  let mice_cutoff = 10_240
+  let apps_per_host = 5
 
-  let one scheme dist ~hosts ~apps_per_host ~duration =
+  let one scheme dist ~hosts ~duration =
     let net = Harness.star scheme ~hosts () in
     let engine = net.Fabric.Topology.engine in
     let config = Harness.host_config scheme net.Fabric.Topology.params in
@@ -307,7 +305,8 @@ module Traces = struct
             let conn = Eventsim.Rng.pick app_rng peers in
             let bytes = Workload.Dist.sample dist app_rng in
             Fabric.Conn.send_message conn ~bytes ~on_complete:(fun fct ->
-                if bytes < mice_cutoff then Dcstats.Samples.add mice_fct (Time_ns.to_ms fct);
+                if bytes < Workload.Open_loop.mice_cutoff then
+                  Dcstats.Samples.add mice_fct (Time_ns.to_ms fct);
                 next ())
           in
           (* Desynchronize application start times. *)
@@ -318,9 +317,9 @@ module Traces = struct
     Fabric.Topology.shutdown net;
     { scheme = scheme.Harness.label; workload = Workload.Dist.name dist; mice_fct_ms = mice_fct }
 
-  let run ?(hosts = 17) ?(apps_per_host = 5) ?(duration = 1.0) () =
+  let run ?(hosts = 17) ?(duration = 1.0) () =
     List.concat_map
-      (fun dist -> List.map (fun s -> one s dist ~hosts ~apps_per_host ~duration) schemes)
+      (fun dist -> List.map (fun s -> one s dist ~hosts ~duration) schemes)
       [ Workload.Dist.web_search; Workload.Dist.data_mining ]
 
   let print result =

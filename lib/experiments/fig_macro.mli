@@ -5,7 +5,8 @@
     dynamics being measured are RTT-timescale, so the distributions keep
     their shape. *)
 
-(** Figs. 18 & 19: many-to-one incast with 16-47 concurrent senders. *)
+(** Figs. 18 & 19: many-to-one incast with 16, 32, 40 and 47 concurrent
+    senders. *)
 module Incast : sig
   type row = {
     scheme : string;
@@ -19,7 +20,7 @@ module Incast : sig
 
   type result = row list
 
-  val run : ?sender_counts:int list -> ?duration:float -> unit -> result
+  val run : ?duration:float -> unit -> result
   val print : result -> unit
 end
 
@@ -46,32 +47,33 @@ type fct_result = {
   background_fct_ms : Dcstats.Samples.t;
 }
 
-(** Fig. 21: concurrent stride — bulk flows to the next four servers plus
-    periodic 16 KB mice. *)
+(** Fig. 21: concurrent stride — 64 MB bulk flows to the next four servers
+    plus periodic 16 KB mice. *)
 module Stride : sig
   type result = fct_result list
 
-  val run : ?hosts:int -> ?bulk_bytes:int -> ?duration:float -> unit -> result
+  val run : ?hosts:int -> ?duration:float -> unit -> result
   val print : result -> unit
 end
 
-(** Fig. 22: shuffle — every server sends a bulk flow to every other server
-    in random order, two at a time, plus the same mice. *)
+(** Fig. 22: shuffle — every server sends a 32 MB bulk flow to every other
+    server in random order, two at a time, plus the same mice. *)
 module Shuffle : sig
   type result = fct_result list
 
-  val run : ?hosts:int -> ?bulk_bytes:int -> ?duration:float -> unit -> result
+  val run : ?hosts:int -> ?duration:float -> unit -> result
   val print : result -> unit
 end
 
-(** Fig. 23: trace-driven workloads — closed-loop applications sampling
-    message sizes from the web-search / data-mining distributions; the
-    figure reports mice (< 10 KB) FCTs. *)
+(** Fig. 23: trace-driven workloads — five closed-loop applications per
+    server sampling message sizes from the web-search / data-mining
+    distributions; the figure reports mice
+    (< {!Workload.Open_loop.mice_cutoff} bytes) FCTs. *)
 module Traces : sig
   type row = { scheme : string; workload : string; mice_fct_ms : Dcstats.Samples.t }
 
   type result = row list
 
-  val run : ?hosts:int -> ?apps_per_host:int -> ?duration:float -> unit -> result
+  val run : ?hosts:int -> ?duration:float -> unit -> result
   val print : result -> unit
 end

@@ -209,10 +209,10 @@ module Table1 = struct
       result.rows
 end
 
-(* Shared machinery for the window-tracking figures. *)
-let window_trace ~mtu ~host_cc ~host_ecn ~log_only ~duration =
+(* Shared machinery for the window-tracking figures, both at 1.5 KB MTU. *)
+let window_trace ~host_cc ~host_ecn ~log_only ~duration =
   let params =
-    Fabric.Params.with_ecn (Fabric.Params.with_mtu Fabric.Params.default mtu)
+    Fabric.Params.with_ecn (Fabric.Params.with_mtu Fabric.Params.default 1500)
   in
   let mss = float_of_int (Fabric.Params.mss params) in
   let engine = Engine.create () in
@@ -287,9 +287,9 @@ module Fig9 = struct
     mean_abs_error_mss : float;
   }
 
-  let run ?(mtu = 1500) ?(duration = 1.0) () =
+  let run ?(duration = 1.0) () =
     let host_cwnd, acdc_rwnd =
-      window_trace ~mtu ~host_cc:Tcp.Dctcp_cc.factory ~host_ecn:true ~log_only:true ~duration
+      window_trace ~host_cc:Tcp.Dctcp_cc.factory ~host_ecn:true ~log_only:true ~duration
     in
     let mae, _ = aligned_stats host_cwnd acdc_rwnd ~until:(Time_ns.sec duration) in
     { host_cwnd; acdc_rwnd; mean_abs_error_mss = mae }
@@ -319,9 +319,9 @@ module Fig10 = struct
     fraction_rwnd_limiting : float;
   }
 
-  let run ?(mtu = 1500) ?(duration = 1.0) () =
+  let run ?(duration = 1.0) () =
     let host_cwnd, acdc_rwnd =
-      window_trace ~mtu ~host_cc:Tcp.Cubic.factory ~host_ecn:false ~log_only:false ~duration
+      window_trace ~host_cc:Tcp.Cubic.factory ~host_ecn:false ~log_only:false ~duration
     in
     let _, frac = aligned_stats host_cwnd acdc_rwnd ~until:(Time_ns.sec duration) in
     { host_cwnd; acdc_rwnd; fraction_rwnd_limiting = frac }

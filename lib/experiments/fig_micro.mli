@@ -45,7 +45,7 @@ module Table1 : sig
 end
 
 (** Fig. 9: with the host running DCTCP and AC/DC in log-only mode,
-    AC/DC's computed RWND tracks the host's CWND. *)
+    AC/DC's computed RWND tracks the host's CWND (1.5 KB MTU). *)
 module Fig9 : sig
   type result = {
     host_cwnd : (Eventsim.Time_ns.t * float) list;  (** (time, MSS units) *)
@@ -53,11 +53,12 @@ module Fig9 : sig
     mean_abs_error_mss : float;  (** tracking error over aligned samples *)
   }
 
-  val run : ?mtu:int -> ?duration:float -> unit -> result
+  val run : ?duration:float -> unit -> result
   val print : result -> unit
 end
 
-(** Fig. 10: with a CUBIC host stack, AC/DC's RWND is the binding window. *)
+(** Fig. 10: with a CUBIC host stack, AC/DC's RWND is the binding window
+    (1.5 KB MTU). *)
 module Fig10 : sig
   type result = {
     host_cwnd : (Eventsim.Time_ns.t * float) list;
@@ -65,6 +66,6 @@ module Fig10 : sig
     fraction_rwnd_limiting : float;
   }
 
-  val run : ?mtu:int -> ?duration:float -> unit -> result
+  val run : ?duration:float -> unit -> result
   val print : result -> unit
 end

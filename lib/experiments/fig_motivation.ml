@@ -57,12 +57,10 @@ module Fig1 = struct
     Fabric.Topology.shutdown net;
     summarize tputs
 
-  let run ?(trials = 10) ?(duration = 1.0) () =
-    let hetero =
-      List.init trials (fun i -> trial ~ccs:five_ccs ~duration ~seed:(1000 + i))
-    in
+  let run ?(duration = 1.0) () =
+    let hetero = List.init 10 (fun i -> trial ~ccs:five_ccs ~duration ~seed:(1000 + i)) in
     let homo_cubic =
-      List.init trials (fun i ->
+      List.init 10 (fun i ->
           trial ~ccs:(List.init 5 (fun _ -> Tcp.Cubic.factory)) ~duration ~seed:(2000 + i))
     in
     { hetero; homo_cubic }

@@ -3,15 +3,15 @@
 val five_ccs : Tcp.Cc.factory list
 (** Illinois, CUBIC, Reno, Vegas, HighSpeed — the mix of Fig. 1. *)
 
-(** Fig. 1: five flows on the dumbbell, each trial either running five
-    different congestion controls or all CUBIC.  Reports per-trial
+(** Fig. 1: five flows on the dumbbell, each of ten trials either running
+    five different congestion controls or all CUBIC.  Reports per-trial
     max/min/mean/median throughput; heterogeneous stacks are unfair. *)
 module Fig1 : sig
   type trial = { tputs : float list; max : float; min : float; mean : float; median : float }
 
   type result = { hetero : trial list; homo_cubic : trial list }
 
-  val run : ?trials:int -> ?duration:float -> unit -> result
+  val run : ?duration:float -> unit -> result
   val summarize : float list -> trial
   val fairness : trial -> float
   val print : result -> unit

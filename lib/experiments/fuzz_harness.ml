@@ -332,8 +332,8 @@ let outcome_json o =
              o.violations) );
     ]
 
-let report_of_outcomes ?(id = "fuzz") outcomes =
-  let report = Obs.Report.create ~id () in
+let report_of_outcomes outcomes =
+  let report = Obs.Report.create ~id:"fuzz" in
   (match outcomes with
   | first :: _ -> Obs.Report.add_config report "root_seed" (Json.Int first.scenario.seed)
   | [] -> ());

@@ -55,9 +55,9 @@ val run : count:int -> seed:int -> outcome list
 (** {2 Reporting} *)
 
 val outcome_json : outcome -> Obs.Json.t
-val report_of_outcomes : ?id:string -> outcome list -> Obs.Report.t
-(** Deterministic report (byte-identical for a fixed root seed): per-run
-    outcomes, failing seeds, aggregate counters. *)
+val report_of_outcomes : outcome list -> Obs.Report.t
+(** Deterministic report (byte-identical for a fixed root seed) with id
+    ["fuzz"]: per-run outcomes, failing seeds, aggregate counters. *)
 
 val print_outcome : outcome -> unit
 

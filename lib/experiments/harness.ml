@@ -69,8 +69,7 @@ let measure_goodput (net : Fabric.Topology.t) conns ~warmup ~duration =
 (* ------------------------------------------------------------------ *)
 (* Time-series plumbing                                                *)
 
-let new_timeseries ?default_budget (net : Fabric.Topology.t) =
-  Obs.Timeseries.create ?default_budget net.Fabric.Topology.engine
+let new_timeseries (net : Fabric.Topology.t) = Obs.Timeseries.create net.Fabric.Topology.engine
 
 let finish_timeseries ts =
   Obs.Timeseries.stop ts;
@@ -88,7 +87,7 @@ let add_observer_sections report =
   if Obs.Attrib.touched attrib then Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib)
 
 let report_of_run ~id ?scheme ?(config = []) ?goodputs ?timeseries () =
-  let report = Obs.Report.create ~id () in
+  let report = Obs.Report.create ~id in
   (match scheme with
   | Some s -> Obs.Report.add_config report "scheme" (Obs.Json.String s.label)
   | None -> ());

@@ -44,7 +44,7 @@ val measure_goodput :
     Experiments that sample signals over virtual time share one
     {!Obs.Timeseries.t} per run, bound to the topology's engine. *)
 
-val new_timeseries : ?default_budget:int -> Fabric.Topology.t -> Obs.Timeseries.t
+val new_timeseries : Fabric.Topology.t -> Obs.Timeseries.t
 
 val finish_timeseries : Obs.Timeseries.t -> unit
 (** Stop all probes (so the event queue can drain on the next run) and

@@ -235,10 +235,6 @@ let wred_drops t = Metrics.value t.m_wred_drops
 let ce_marks t = Metrics.value t.m_ce_marks
 let max_port_queue t idx = t.ports.(idx).max_queue
 
-let drop_rate t =
-  let input = Metrics.value t.m_input in
-  if input = 0 then 0.0 else float_of_int (Metrics.value t.m_drops) /. float_of_int input
-
 let name t = t.name
 
 let register_probes t ~ts ?(interval = 100_000) () =
@@ -265,20 +261,3 @@ let register_probes t ~ts ?(interval = 100_000) () =
     (Obs.Timeseries.probe ts
        ~name:(Printf.sprintf "switch.%s.buffer_used" t.name)
        ~unit_label:"bytes" ~interval (fun () -> Some (float_of_int t.buffer_used)))
-
-let reset_counters t =
-  Metrics.reset t.m_input;
-  Metrics.reset t.m_forwarded_packets;
-  Metrics.reset t.m_forwarded_bytes;
-  Metrics.reset t.m_drops;
-  Metrics.reset t.m_wred_drops;
-  Metrics.reset t.m_ce_marks;
-  Metrics.set t.g_buffer_max 0;
-  for i = 0 to t.nports - 1 do
-    let p = t.ports.(i) in
-    p.max_queue <- 0;
-    p.tx_bytes <- 0;
-    p.svc_win_start <- Time_ns.zero;
-    p.svc_win_bytes <- 0;
-    p.svc_bps <- Txq.rate_bps p.txq
-  done

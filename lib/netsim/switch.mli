@@ -74,11 +74,7 @@ val ce_marks : t -> int
 val max_port_queue : t -> int -> int
 (** High-water mark of a port's queue, in bytes. *)
 
-val drop_rate : t -> float
-(** Fraction of input packets dropped. *)
-
 val name : t -> string
-val reset_counters : t -> unit
 
 val register_probes : t -> ts:Obs.Timeseries.t -> ?interval:Eventsim.Time_ns.t -> unit -> unit
 (** Register fixed-interval samplers (default every 100 µs of virtual

@@ -85,7 +85,6 @@ let create ?(node = "txq") ?(port = 0) engine ~rate_bps ~prop_delay ~jitter ~del
 let set_on_tx_complete t f = t.on_tx_complete <- f
 
 let queued_bytes t = t.queued_bytes
-let rate_bps t = t.rate_bps
 let busy t = t.busy
 
 let tx_time t ~bytes = bytes * 8 * 1_000_000_000 / t.rate_bps

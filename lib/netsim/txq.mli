@@ -51,8 +51,6 @@ val set_on_tx_complete : t -> (Dcpkt.Packet.t -> size:int -> unit) -> unit
 val queued_bytes : t -> int
 (** Wire bytes currently held, including the packet being transmitted. *)
 
-val rate_bps : t -> int
-
 val tx_time : t -> bytes:int -> Eventsim.Time_ns.t
 (** Serialization delay of [bytes] at this queue's rate. *)
 

@@ -78,14 +78,14 @@ type clock = {
   mutable enforced : bool;
   hops : (int * int, hop_sum) Hashtbl.t; (* per-hop sojourn sums by (hop_id, port) *)
   mutable hop_packets : int;
-  mutable watched : (Timeseries.t * string) option;
+  mutable watched : Timeseries.t option;
   mutable snap : snapshot option; (* latest completion snapshot *)
 }
 
 type t = {
   mutable on : bool;
   flows : clock Flow_key.Table.t;
-  pending_watch : (Timeseries.t * string) Flow_key.Table.t;
+  pending_watch : Timeseries.t Flow_key.Table.t;
       (* watches registered before the flow's clock exists (e.g. at
          experiment setup, before the handshake runs) *)
   mutable ever : int; (* flows tracked since reset, for [touched] *)
@@ -126,10 +126,10 @@ let start t ~now key =
   Flow_key.Table.replace t.flows key c;
   t.ever <- t.ever + 1
 
-let watch t ~ts ?(prefix = "flow") key =
-  Flow_key.Table.replace t.pending_watch key (ts, prefix);
+let watch t ~ts key =
+  Flow_key.Table.replace t.pending_watch key ts;
   match Flow_key.Table.find_opt t.flows key with
-  | Some c -> c.watched <- Some (ts, prefix)
+  | Some c -> c.watched <- Some ts
   | None -> ()
 
 (* Charge the open interval [since, now) to the current state.  Every
@@ -145,11 +145,8 @@ let charge c ~now =
 let record_watch c ~now left =
   match c.watched with
   | None -> ()
-  | Some (ts, prefix) ->
-    let ch =
-      Timeseries.channel ts ~unit_label:"ns"
-        (Printf.sprintf "attrib.%s.%s" prefix (state_label left))
-    in
+  | Some ts ->
+    let ch = Timeseries.channel ts ~unit_label:"ns" ("attrib.flow0." ^ state_label left) in
     Timeseries.record ch ~now (float_of_int c.acc.(state_index left))
 
 let resolve c cause =

@@ -109,13 +109,13 @@ val complete : t -> now:Eventsim.Time_ns.t -> tracer:Trace.t -> Dcpkt.Flow_key.t
     message on the same connection) replaces the snapshot with a larger
     one.  Untracked flows: no-op. *)
 
-val watch : t -> ts:Timeseries.t -> ?prefix:string -> Dcpkt.Flow_key.t -> unit
+val watch : t -> ts:Timeseries.t -> Dcpkt.Flow_key.t -> unit
 (** Stream the flow's cumulative per-state clock to
-    [attrib.<prefix>.<state>] channels (unit ns): each transition out of a
-    state records that state's new cumulative total.  [prefix] defaults to
-    ["flow"].  May be called before the flow is tracked (e.g. at
-    experiment setup, before the handshake): the watch attaches when
-    {!start} first sees the flow, and survives restarts. *)
+    [attrib.flow0.<state>] channels (unit ns): each transition out of a
+    state records that state's new cumulative total.  May be called
+    before the flow is tracked (e.g. at experiment setup, before the
+    handshake): the watch attaches when {!start} first sees the flow, and
+    survives restarts. *)
 
 (** {2 Results} *)
 

@@ -15,7 +15,7 @@ type t = {
   mutable packets : int;
   mutable hops : int;
   mutable exceeded : int;
-  mutable watched : (Timeseries.t * string * Flow_key.t) option;
+  mutable watched : (Timeseries.t * Flow_key.t) option;
 }
 
 let create () =
@@ -36,7 +36,7 @@ let reset t =
   t.exceeded <- 0;
   t.watched <- None
 
-let watch t ~ts ?(prefix = "flow") flow = t.watched <- Some (ts, prefix, flow)
+let watch t ~ts flow = t.watched <- Some (ts, flow)
 
 (* The label is formatted once, when the hop is first seen. *)
 let agg_for t (h : Int_meta.hop) =
@@ -71,11 +71,8 @@ let absorb t ~now ~flow ~hops ~exceeded =
     agg.svc_sum_bps <- agg.svc_sum_bps +. float_of_int h.svc_bps;
     agg.samples <- agg.samples + 1;
     match t.watched with
-    | Some (ts, prefix, f)
-      when Flow_key.equal f flow || Flow_key.equal (Flow_key.reverse f) flow ->
-      let ch name =
-        Timeseries.channel ts (Printf.sprintf "int.%s.%s.%s" prefix agg.label name)
-      in
+    | Some (ts, f) when Flow_key.equal f flow || Flow_key.equal (Flow_key.reverse f) flow ->
+      let ch name = Timeseries.channel ts (Printf.sprintf "int.flow0.%s.%s" agg.label name) in
       Timeseries.record (ch "sojourn_ns") ~now (float_of_int sojourn);
       Timeseries.record (ch "qbytes") ~now (float_of_int h.qbytes)
     | Some _ | None -> ()

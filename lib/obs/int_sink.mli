@@ -14,9 +14,9 @@ val create : unit -> t
 val reset : t -> unit
 (** Drop all aggregates and any watch (per-run isolation). *)
 
-val watch : t -> ts:Timeseries.t -> ?prefix:string -> Dcpkt.Flow_key.t -> unit
+val watch : t -> ts:Timeseries.t -> Dcpkt.Flow_key.t -> unit
 (** Mirror subsequent hops of the given flow (either direction) into
-    channels [int.<prefix>.<hop>.sojourn_ns] / [.qbytes] of [ts],
+    channels [int.flow0.<hop>.sojourn_ns] / [.qbytes] of [ts],
     created lazily per hop.  A new call replaces the previous watch. *)
 
 val absorb :

@@ -21,7 +21,6 @@ let gauge t name =
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let value c = c.c
-let reset c = c.c <- 0
 
 let set g v = g.g <- v
 let set_max g v = if v > g.g then g.g <- v
@@ -70,4 +69,5 @@ let to_json t =
 let reset_all t =
   List.iter
     (function Counter c -> c.c <- 0 | Gauge g -> g.g <- 0)
-    t.instruments
+    t.instruments;
+  t.instruments <- []

@@ -16,7 +16,7 @@ type t
 (** A registry. *)
 
 type counter
-(** Monotonically increasing (until [reset]) integer. *)
+(** Monotonically increasing (until {!reset_all}) integer. *)
 
 type gauge
 (** Last-value / high-water integer. *)
@@ -34,7 +34,6 @@ val gauge : t -> string -> gauge
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val reset : counter -> unit
 
 val set : gauge -> int -> unit
 val set_max : gauge -> int -> unit
@@ -71,4 +70,7 @@ val to_json : t -> Json.t
 (** [{"counters": {...}, "gauges": {...}}], keys sorted — deterministic. *)
 
 val reset_all : t -> unit
-(** Zero every instrument (per-run isolation between experiments). *)
+(** Zero every instrument, then drop them all from the registry
+    (per-run isolation between experiments): snapshots list only
+    instruments registered since.  Handles that live components still
+    hold keep counting from zero, unlisted. *)

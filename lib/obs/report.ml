@@ -1,5 +1,4 @@
 type t = {
-  schema : string;
   id : string;
   mutable config : (string * Json.t) list; (* reverse order *)
   mutable scalars : (string * Json.t) list;
@@ -11,9 +10,8 @@ type t = {
   mutable timeseries : Timeseries.t list;
 }
 
-let create ?(schema = "acdc-report/1") ~id () =
+let create ~id =
   {
-    schema;
     id;
     config = [];
     scalars = [];
@@ -67,7 +65,7 @@ let timeseries_json ts = Json.Obj [ ("embedded", Timeseries.to_json ts) ]
 let to_json t =
   let fields =
     [
-      ("schema", Json.String t.schema);
+      ("schema", Json.String "acdc-report/1");
       ("id", Json.String t.id);
       ("config", Json.Obj (List.rev t.config));
       ("scalars", Json.Obj (List.rev t.scalars));
@@ -110,7 +108,7 @@ let read_file ~path =
       | Some _ -> Error (Printf.sprintf "%s: non-string \"schema\" field" path)
       | None -> Error (Printf.sprintf "%s: missing \"schema\" field" path)))
 
-let merge_corpus ?(schema = "acdc-corpus/1") ?(extra = []) entries =
+let merge_corpus ?(extra = []) entries =
   let sorted =
     List.stable_sort (fun (a, _) (b, _) -> String.compare a b) entries
   in
@@ -123,5 +121,5 @@ let merge_corpus ?(schema = "acdc-corpus/1") ?(extra = []) entries =
     Json.Obj (("id", Json.String id) :: fields)
   in
   Json.Obj
-    ((("schema", Json.String schema) :: extra)
+    ((("schema", Json.String "acdc-corpus/1") :: extra)
     @ [ ("scenarios", Json.List (List.map entry sorted)) ])

@@ -9,8 +9,8 @@
 
 type t
 
-val create : ?schema:string -> id:string -> unit -> t
-(** [schema] defaults to ["acdc-report/1"]. *)
+val create : id:string -> t
+(** An empty ["acdc-report/1"] report. *)
 
 val add_config : t -> string -> Json.t -> unit
 (** Run parameters (topology, durations, scheme, seed...). *)
@@ -68,8 +68,7 @@ val read_file : path:string -> (Json.t, string) result
     ...) back into JSON.  [Error] on unreadable files, parse failures, or
     documents without a string ["schema"] field. *)
 
-val merge_corpus :
-  ?schema:string -> ?extra:(string * Json.t) list -> (string * Json.t) list -> Json.t
+val merge_corpus : ?extra:(string * Json.t) list -> (string * Json.t) list -> Json.t
 (** [merge_corpus entries] bundles [(scenario_id, body)] pairs into one
     ["acdc-corpus/1"] document.  Entries are sorted by id (stable), so the
     output is byte-identical however the inputs were produced or ordered;

@@ -31,6 +31,10 @@ val close_trace : unit -> unit
     {!Trace.null}.  No-op otherwise. *)
 
 val reset_metrics : unit -> unit
+(** Zero every instrument of the registry and drop them from it
+    ({!Metrics.reset_all}): the next snapshot lists only what components
+    built after the reset register.  Drivers reset before building each
+    run's topology. *)
 
 (** {2 Packet capture sink}
 

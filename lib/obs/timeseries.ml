@@ -40,22 +40,15 @@ let last ch = if ch.has_last then Some (ch.last_t, ch.last_v) else None
 
 let find t name = List.find_opt (fun ch -> String.equal ch.ch_name name) t.chans
 
-let channel t ?budget ?(unit_label = "") name =
+let channel t ?(unit_label = "") name =
   match find t name with
   | Some ch -> ch
   | None ->
-    let budget =
-      match budget with
-      | None -> t.default_budget
-      | Some b ->
-        let b = Stdlib.max 16 b in
-        if b land 1 = 1 then b + 1 else b
-    in
     let ch =
       {
         ch_name = name;
         ch_unit = unit_label;
-        budget;
+        budget = t.default_budget;
         times = [||];
         values = [||];
         n = 0;
@@ -138,9 +131,9 @@ let binned_rate ch ~bin ~until =
 
 let channels t = List.rev t.chans
 
-let probe t ?budget ?unit_label ~name ~interval ?until f =
+let probe t ?unit_label ~name ~interval ?until f =
   if interval <= 0 then invalid_arg "Timeseries.probe: interval must be positive";
-  let ch = channel t ?budget ?unit_label name in
+  let ch = channel t ?unit_label name in
   let handle = { active = true } in
   t.probes <- handle :: t.probes;
   let rec tick () =

@@ -24,18 +24,17 @@ type channel
 
 val create : ?default_budget:int -> Eventsim.Engine.t -> t
 (** [default_budget] (default 8192, rounded up to even, minimum 16) caps
-    the stored points of channels that don't override it. *)
+    the stored points of every channel of [t]. *)
 
 val engine : t -> Eventsim.Engine.t
 
-val channel : t -> ?budget:int -> ?unit_label:string -> string -> channel
+val channel : t -> ?unit_label:string -> string -> channel
 (** Find-or-create the channel called [name].  Creating is idempotent: a
-    second call with the same name returns the existing channel (budget and
-    unit label of the first call win). *)
+    second call with the same name returns the existing channel (the unit
+    label of the first call wins). *)
 
 val probe :
   t ->
-  ?budget:int ->
   ?unit_label:string ->
   name:string ->
   interval:Eventsim.Time_ns.t ->

@@ -135,7 +135,12 @@ let flow_of_spec spec =
         (Printf.sprintf "bad flow %S (expected SRC_IP:SRC_PORT-DST_IP:DST_PORT)" spec))
 
 (* The "ev" field of the JSON encoding; also the vocabulary of
-   [kind=...] trace filters. *)
+   [kind=...] trace filters.  [event_kinds] lists every tag it returns. *)
+let event_kinds =
+  [ "created"; "enqueue"; "dequeue"; "drop"; "ce_mark"; "impaired"; "vswitch_drop";
+    "delivered"; "pack_attach"; "rwnd_rewrite"; "alpha_update"; "policer_drop"; "dupack";
+    "rto"; "int_hop"; "int_strip"; "attrib" ]
+
 let kind_of_event = function
   | Created _ -> "created"
   | Enqueue _ -> "enqueue"
@@ -571,13 +576,19 @@ let filter_of_spec spec =
           | "flow" ->
             let* flow = flow_of_spec v in
             Ok (flow :: flows, kinds)
-          | "kind" ->
+          | "kind" -> (
             let parts =
               String.split_on_char '|' v |> List.map String.trim
               |> List.filter (fun s -> s <> "")
             in
             if parts = [] then Error "kind= needs at least one event kind"
-            else Ok (flows, parts @ kinds)
+            else
+              match List.find_opt (fun k -> not (List.mem k event_kinds)) parts with
+              | Some k ->
+                Error
+                  (Printf.sprintf "unknown event kind %S (known: %s)" k
+                     (String.concat "|" event_kinds))
+              | None -> Ok (flows, parts @ kinds))
           | _ -> Error (Printf.sprintf "unknown trace-filter key %S" key)))
       (Ok ([], []))
       (String.split_on_char ',' spec |> List.filter (fun s -> String.trim s <> ""))

@@ -147,7 +147,8 @@ val filter_of_spec : string -> (t -> t, string) result
 (** Parse a [--trace-filter] spec into a sink transformer.  The spec is
     comma-separated [flow=SRC_IP:SRC_PORT-DST_IP:DST_PORT] and
     [kind=K1|K2|...] clauses; multiple values of one key union, distinct
-    keys intersect.  Example: ["flow=1:40000-3:5001,kind=drop|ce_mark"]. *)
+    keys intersect.  Example: ["flow=1:40000-3:5001,kind=drop|ce_mark"].
+    A kind outside {!event_kinds} is an [Error] that names it. *)
 
 val flow_of_spec : string -> (Dcpkt.Flow_key.t, string) result
 (** Parse ["a:p-b:q"] (CLI spelling) or ["a:p>b:q"] (trace spelling) into
@@ -175,6 +176,9 @@ val created : ?kind:string -> node:string -> Dcpkt.Packet.t -> event
 val kind_of_event : event -> string
 (** The event's JSON ["ev"] tag (["created"], ["enqueue"], ...), which is
     also the vocabulary of [kind=] filters. *)
+
+val event_kinds : string list
+(** Every tag {!kind_of_event} returns, in constructor order. *)
 
 val action_label : impair_action -> string
 (** The impairment's JSON ["action"] tag (["lost"], ["corrupted"], ...);

@@ -65,19 +65,6 @@ let max t =
   if Array.length arr = 0 then invalid_arg "Samples.max: empty";
   arr.(Array.length arr - 1)
 
-let cdf ?(points = 100) t =
-  if t.size = 0 then []
-  else begin
-    let arr = to_sorted_array t in
-    let n = Array.length arr in
-    let quantile i =
-      let frac = float_of_int i /. float_of_int points in
-      let idx = Stdlib.min (n - 1) (int_of_float (frac *. float_of_int (n - 1) +. 0.5)) in
-      (arr.(idx), frac)
-    in
-    List.init (points + 1) quantile
-  end
-
 let iter t ~f =
   for i = 0 to t.size - 1 do
     f t.data.(i)

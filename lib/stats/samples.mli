@@ -21,9 +21,5 @@ val mean : t -> float
 val min : t -> float
 val max : t -> float
 
-val cdf : ?points:int -> t -> (float * float) list
-(** [(value, cumulative_fraction)] pairs suitable for plotting; [points]
-    (default 100) evenly spaced quantiles. *)
-
 val to_sorted_array : t -> float array
 val iter : t -> f:(float -> unit) -> unit

@@ -1,5 +1,7 @@
+(* EWMA gain, as in the paper, Linux and RFC 8257. *)
+let g = 1.0 /. 16.0
+
 type state = {
-  g : float;
   mutable alpha : float;
   mutable window_start_cwnd : int; (* bytes of cwnd when the window opened *)
   mutable acked_total : int; (* bytes acked this window *)
@@ -7,10 +9,9 @@ type state = {
   mutable cut_this_window : bool;
 }
 
-let make ~g () =
+let factory () =
   let s =
     {
-      g;
       alpha = 1.0;
       (* Linux seeds alpha at 1 so a mark early in life cuts hard. *)
       window_start_cwnd = 0;
@@ -41,7 +42,7 @@ let make ~g () =
       if s.acked_total = 0 then 0.0
       else float_of_int s.acked_marked /. float_of_int s.acked_total
     in
-    s.alpha <- ((1.0 -. s.g) *. s.alpha) +. (s.g *. fraction);
+    s.alpha <- ((1.0 -. g) *. s.alpha) +. (g *. fraction);
     if s.acked_marked > 0 then cut view;
     open_window view
   in
@@ -65,6 +66,3 @@ let make ~g () =
     s.window_start_cwnd <- 0
   in
   { Cc.name = "dctcp"; per_ack_ecn = true; on_ack; on_congestion; on_rto }
-
-let factory_with ~g () = make ~g ()
-let factory () = make ~g:(1.0 /. 16.0) ()

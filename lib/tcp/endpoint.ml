@@ -776,16 +776,6 @@ let cc_name t = t.algo.Cc.name
 let srtt t = Rto.srtt t.rto
 let rto t = Rto.timeout t.rto
 
-let register_probes t ~ts ~prefix ~interval =
-  ignore
-    (Obs.Timeseries.probe ts ~name:(prefix ^ ".srtt_us") ~unit_label:"us" ~interval (fun () ->
-         Option.map (fun s -> Time_ns.to_sec s *. 1e6) (Rto.srtt t.rto)));
-  ignore
-    (Obs.Timeseries.probe ts ~name:(prefix ^ ".rto_us") ~unit_label:"us" ~interval (fun () ->
-         Some (Time_ns.to_sec (Rto.timeout t.rto) *. 1e6)));
-  ignore
-    (Obs.Timeseries.probe ts ~name:(prefix ^ ".cwnd") ~unit_label:"bytes" ~interval (fun () ->
-         Some (float_of_int t.cwnd)))
 let set_rtt_hook t f = t.rtt_hook <- f
 
 let add_cwnd_hook t f =

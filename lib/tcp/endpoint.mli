@@ -110,12 +110,6 @@ val srtt : t -> Eventsim.Time_ns.t option
 val rto : t -> Eventsim.Time_ns.t
 (** Current retransmission timeout, including backoff. *)
 
-val register_probes :
-  t -> ts:Obs.Timeseries.t -> prefix:string -> interval:Eventsim.Time_ns.t -> unit
-(** Sample this endpoint's SRTT ([<prefix>.srtt_us], skipped until the
-    first RTT sample), RTO ([<prefix>.rto_us]) and congestion window
-    ([<prefix>.cwnd]) every [interval] of virtual time. *)
-
 val set_rtt_hook : t -> (Eventsim.Time_ns.t -> unit) -> unit
 (** Called with every clean RTT sample the sender takes. *)
 

@@ -1,8 +1,10 @@
 module Time_ns = Eventsim.Time_ns
 
+(* Ceiling on the RTO, backoff included. *)
+let max_rto = Time_ns.sec 4.0
+
 type t = {
   min_rto : Time_ns.t;
-  max_rto : Time_ns.t;
   mutable srtt : float; (* ns *)
   mutable rttvar : float;
   mutable have_sample : bool;
@@ -11,10 +13,9 @@ type t = {
   mutable backoffs : int;
 }
 
-let create ?(min_rto = Time_ns.ms 10) ?(max_rto = Time_ns.sec 4.0) () =
+let create ?(min_rto = Time_ns.ms 10) () =
   {
     min_rto;
-    max_rto;
     srtt = 0.0;
     rttvar = 0.0;
     have_sample = false;
@@ -42,7 +43,7 @@ let timeout t =
     if t.have_sample then int_of_float (t.srtt +. Float.max 1.0 (4.0 *. t.rttvar))
     else Time_ns.sec 1.0 (* RFC 6298 initial RTO; the paper's settings cut in fast *)
   in
-  Time_ns.min t.max_rto (Time_ns.max t.min_rto base * t.backoff_factor)
+  Time_ns.min max_rto (Time_ns.max t.min_rto base * t.backoff_factor)
 
 let backoff t =
   t.backoffs <- t.backoffs + 1;

@@ -3,8 +3,9 @@
 
 type t
 
-val create : ?min_rto:Eventsim.Time_ns.t -> ?max_rto:Eventsim.Time_ns.t -> unit -> t
-(** Defaults: [min_rto] 10 ms, [max_rto] 4 s. *)
+val create : ?min_rto:Eventsim.Time_ns.t -> unit -> t
+(** [min_rto] defaults to 10 ms.  The RTO never exceeds 4 s, backoff
+    included. *)
 
 val observe : t -> Eventsim.Time_ns.t -> unit
 (** Feed an RTT sample (must come from a non-retransmitted segment —
@@ -14,7 +15,7 @@ val timeout : t -> Eventsim.Time_ns.t
 (** Current RTO, including any backoff. *)
 
 val backoff : t -> unit
-(** Double the RTO after a timeout fires (bounded by [max_rto]). *)
+(** Double the RTO after a timeout fires (bounded by 4 s). *)
 
 val reset_backoff : t -> unit
 

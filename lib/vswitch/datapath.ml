@@ -6,9 +6,6 @@ type processor = {
   ingress : Dcpkt.Packet.t -> inject:(Dcpkt.Packet.t -> unit) -> verdict;
 }
 
-let no_op name =
-  { name; egress = (fun _ ~inject:_ -> Pass); ingress = (fun _ ~inject:_ -> Pass) }
-
 type t = {
   mutable processors : processor list; (* registration order *)
   name : string;

@@ -20,8 +20,6 @@ type processor = {
       (** network -> VM.  [inject] delivers an extra packet up the stack. *)
 }
 
-val no_op : string -> processor
-
 type t
 
 val create : ?name:string -> ?clock:(unit -> Eventsim.Time_ns.t) -> unit -> t

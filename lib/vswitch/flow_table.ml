@@ -9,10 +9,13 @@ type 'a entry = {
   mutable closed : bool;
 }
 
+(* The coarse-grained garbage collector's period, and how long an entry
+   may sit idle before it reaps it. *)
+let gc_interval = Time_ns.sec 1.0
+let idle_timeout = Time_ns.sec 5.0
+
 type 'a t = {
   engine : Engine.t;
-  idle_timeout : Time_ns.t;
-  gc_interval : Time_ns.t;
   table : 'a entry Flow_key.Table.t;
   (* The same entries filed under the opposite direction's key, reversed
      once at insertion, so a packet of the other direction finds its flow
@@ -20,9 +23,6 @@ type 'a t = {
      small rather than at [table]'s size. *)
   rev : 'a entry Flow_key.Table.t;
   mutable gc_timer : Engine.timer option;
-  mutable lookups : int;
-  mutable insertions : int;
-  mutable gc_removals : int;
 }
 
 let remove t key =
@@ -32,7 +32,7 @@ let remove t key =
 let rec schedule_gc t =
   t.gc_timer <-
     Some
-      (Engine.timer_after t.engine ~delay:t.gc_interval (fun () ->
+      (Engine.timer_after t.engine ~delay:gc_interval (fun () ->
            sweep t;
            schedule_gc t))
 
@@ -41,35 +41,25 @@ and sweep t =
   let stale =
     Flow_key.Table.fold
       (fun key entry acc ->
-        if entry.closed || Time_ns.diff now entry.last_active > t.idle_timeout then key :: acc
+        if entry.closed || Time_ns.diff now entry.last_active > idle_timeout then key :: acc
         else acc)
       t.table []
   in
-  List.iter
-    (fun key ->
-      remove t key;
-      t.gc_removals <- t.gc_removals + 1)
-    stale
+  List.iter (remove t) stale
 
-let create engine ?(gc_interval = Time_ns.sec 1.0) ?(idle_timeout = Time_ns.sec 5.0) () =
+let create engine =
   let t =
     {
       engine;
-      idle_timeout;
-      gc_interval;
       table = Flow_key.Table.create 256;
       rev = Flow_key.Table.create 16;
       gc_timer = None;
-      lookups = 0;
-      insertions = 0;
-      gc_removals = 0;
     }
   in
   schedule_gc t;
   t
 
 let lookup t index key =
-  t.lookups <- t.lookups + 1;
   match Flow_key.Table.find index key with
   | entry ->
     entry.last_active <- Engine.now t.engine;
@@ -89,7 +79,6 @@ let find_or_create t key ~make =
     in
     Flow_key.Table.replace t.table key entry;
     Flow_key.Table.replace t.rev (Flow_key.reverse key) entry;
-    t.insertions <- t.insertions + 1;
     value
 
 let mark_closed t key =
@@ -100,10 +89,6 @@ let mark_closed t key =
 let length t = Flow_key.Table.length t.table
 
 let iter t ~f = Flow_key.Table.iter (fun key entry -> f key entry.value) t.table
-
-let lookups t = t.lookups
-let insertions t = t.insertions
-let gc_removals t = t.gc_removals
 
 let stop_gc t =
   match t.gc_timer with

@@ -8,14 +8,9 @@
 
 type 'a t
 
-val create :
-  Eventsim.Engine.t ->
-  ?gc_interval:Eventsim.Time_ns.t ->
-  ?idle_timeout:Eventsim.Time_ns.t ->
-  unit ->
-  'a t
-(** GC runs every [gc_interval] (default 1 s) and removes entries idle for
-    longer than [idle_timeout] (default 5 s) or already marked closed. *)
+val create : Eventsim.Engine.t -> 'a t
+(** GC runs every second of virtual time and removes entries idle for
+    longer than 5 s or already marked closed. *)
 
 val find : 'a t -> Dcpkt.Flow_key.t -> 'a option
 (** Lookup refreshes the entry's last-active time.  A hit returns an
@@ -35,10 +30,6 @@ val mark_closed : 'a t -> Dcpkt.Flow_key.t -> unit
 val remove : 'a t -> Dcpkt.Flow_key.t -> unit
 val length : 'a t -> int
 val iter : 'a t -> f:(Dcpkt.Flow_key.t -> 'a -> unit) -> unit
-
-val lookups : 'a t -> int
-val insertions : 'a t -> int
-val gc_removals : 'a t -> int
 
 val stop_gc : 'a t -> unit
 (** Cancel the periodic GC timer (lets simulations drain). *)

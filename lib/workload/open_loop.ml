@@ -7,8 +7,12 @@ type t = {
   mutable completed : int;
 }
 
-let start ~net ~config ~dist ~load ?(seed = 17) ?(mice_cutoff = 10_240) ~fct_ms ~mice_fct_ms
-    () =
+let mice_cutoff = 10_240
+
+(* Arrivals are seeded: every run offers the same flows. *)
+let seed = 17
+
+let start ~net ~config ~dist ~load ~fct_ms ~mice_fct_ms () =
   assert (load > 0.0 && load < 1.0);
   let engine = net.Fabric.Topology.engine in
   let hosts = net.Fabric.Topology.hosts in

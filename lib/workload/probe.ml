@@ -7,8 +7,10 @@ type t = {
   mutable running : bool;
 }
 
-let start ~src ~dst ?config ?(interval = Time_ns.ms 1) ?(size = 1000)
-    ?(warmup = Time_ns.ms 100) () =
+let interval = Time_ns.ms 1
+let size = 1000
+
+let start ~src ~dst ?config ?(warmup = Time_ns.ms 100) () =
   let engine = Fabric.Host.engine src in
   let conn = Fabric.Conn.establish ~src ~dst ?config () in
   let t = { conn; samples = Dcstats.Samples.create (); running = true } in

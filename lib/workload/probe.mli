@@ -8,14 +8,11 @@ val start :
   src:Fabric.Host.t ->
   dst:Fabric.Host.t ->
   ?config:Tcp.Endpoint.config ->
-  ?interval:Eventsim.Time_ns.t ->
-  ?size:int ->
   ?warmup:Eventsim.Time_ns.t ->
   unit ->
   t
-(** Sends a [size]-byte message (default 1000) every [interval] (default
-    1 ms); RTT samples taken before [warmup] (default 100 ms) are
-    discarded. *)
+(** Sends a 1000-byte message every millisecond; RTT samples taken
+    before [warmup] (default 100 ms) are discarded. *)
 
 val samples_ms : t -> Dcstats.Samples.t
 (** RTT samples in milliseconds. *)

@@ -477,6 +477,32 @@ let test_receiver_fack_when_oversized () =
   | _ -> Alcotest.fail "expected exactly one FACK");
   check_int "facks counted" 1 (Receiver.facks_sent receiver)
 
+(* The PACK-vs-FACK threshold (§3.2): the MTU is [mss + 40] and the link
+   layer adds 54 bytes, so an ACK-bearing segment takes the 8-byte PACK
+   while its wire size plus 8 is at most [mss + 94].  The largest segment
+   that fits piggy-backs; one byte more sends a dedicated FACK. *)
+let test_receiver_pack_threshold () =
+  let segment payload = Packet.make ~key:rkey ~ack:(1 + mss) ~has_ack:true ~payload () in
+  let largest = mss + 94 - 8 - Packet.wire_size (segment 0) in
+  let send pkt =
+    let _, receiver = primed_receiver () in
+    ignore (Receiver.ingress receiver (data ~seq:1 ()) ~inject:ignore);
+    let injected = ref 0 in
+    ignore (Receiver.egress receiver pkt ~inject:(fun _ -> incr injected));
+    (receiver, !injected)
+  in
+  let fits = segment largest in
+  check_int "wire size + 8 = mss + 94" (mss + 94) (Packet.wire_size fits + 8);
+  let receiver, injected = send fits in
+  check_bool "the largest fitting segment carries the PACK" true (Packet.pack_info fits <> None);
+  check_int "no FACK" 0 injected;
+  check_int "PACK counted" 1 (Receiver.packs_sent receiver);
+  let over = segment (largest + 1) in
+  let receiver, injected = send over in
+  check_bool "one byte more carries no PACK" true (Packet.pack_info over = None);
+  check_int "a FACK instead" 1 injected;
+  check_int "FACK counted" 1 (Receiver.facks_sent receiver)
+
 let test_receiver_fack_only_mode () =
   let _, receiver = primed_receiver ~cfg:(config ~fack_only:true ()) () in
   ignore (Receiver.ingress receiver (data ~seq:1 ()) ~inject:ignore);
@@ -655,6 +681,7 @@ let () =
           Alcotest.test_case "strips ECN" `Quick test_receiver_strips_ecn;
           Alcotest.test_case "attaches PACK" `Quick test_receiver_attaches_pack;
           Alcotest.test_case "FACK on MTU overflow" `Quick test_receiver_fack_when_oversized;
+          Alcotest.test_case "PACK/FACK threshold" `Quick test_receiver_pack_threshold;
           Alcotest.test_case "fack-only mode" `Quick test_receiver_fack_only_mode;
         ] );
       ( "processor",

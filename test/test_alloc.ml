@@ -111,7 +111,7 @@ let test_rng () =
 
 let test_flow_table () =
   let engine = Engine.create () in
-  let table = Flow_table.create engine () in
+  let table = Flow_table.create engine in
   ignore (Flow_table.find_or_create table key ~make:(fun () -> 42));
   let other = Flow_key.make ~src_ip:3 ~dst_ip:4 ~src_port:1 ~dst_port:2 in
   let rkey = Flow_key.reverse key in

@@ -222,7 +222,7 @@ let test_endpoint_integration () =
   in
   (* Watch the first flow before its handshake even runs: the watch must
      attach when the clock starts. *)
-  Obs.Attrib.watch attrib ~ts ~prefix:"w" (Fabric.Conn.key (List.hd conns));
+  Obs.Attrib.watch attrib ~ts (Fabric.Conn.key (List.hd conns));
   let done_at = ref [] in
   List.iter
     (fun c ->
@@ -247,9 +247,7 @@ let test_endpoint_integration () =
     snaps;
   let watched =
     List.filter
-      (fun ch ->
-        String.length (Obs.Timeseries.name ch) >= 9
-        && String.sub (Obs.Timeseries.name ch) 0 9 = "attrib.w.")
+      (fun ch -> String.starts_with ~prefix:"attrib.flow0." (Obs.Timeseries.name ch))
       (Obs.Timeseries.channels ts)
   in
   Alcotest.(check bool) "watched channels recorded" true

@@ -424,6 +424,29 @@ let test_parking_lot_routing () =
   check_bool "sender to sender" true (transfer_ok net ~src:3 ~dst:0);
   Topology.shutdown net
 
+(* A reset drops the instruments of the runs before it, so a report's
+   metrics describe the last run only: after a parking lot, a reset and a
+   dumbbell, the registry names only the dumbbell's switches. *)
+let test_reset_forgets_torn_down_runs () =
+  let switch_names () =
+    List.filter_map
+      (fun (name, _) ->
+        match String.split_on_char '.' name with
+        | "switch" :: sw :: _ -> Some sw
+        | _ -> None)
+      (Obs.Metrics.counters (Obs.Runtime.metrics ()))
+    |> List.sort_uniq String.compare
+  in
+  Obs.Runtime.reset_metrics ();
+  let lot = Topology.parking_lot (Engine.create ()) ~senders:3 () in
+  check_bool "parking lot moves a message" true (transfer_ok lot ~src:0 ~dst:3);
+  Alcotest.(check (list string)) "parking lot switches" [ "sw0"; "sw1"; "sw2" ] (switch_names ());
+  Topology.shutdown lot;
+  Obs.Runtime.reset_metrics ();
+  let net = Topology.dumbbell (Engine.create ()) ~pairs:2 () in
+  Alcotest.(check (list string)) "only the dumbbell's switches" [ "left"; "right" ] (switch_names ());
+  Topology.shutdown net
+
 let test_star_routing () =
   let engine = Engine.create () in
   let net = Topology.star engine ~hosts:4 () in
@@ -489,7 +512,7 @@ let test_probe_discards_warmup () =
   let net = Topology.star engine ~hosts:2 () in
   let probe =
     Workload.Probe.start ~src:(Topology.host net 0) ~dst:(Topology.host net 1)
-      ~interval:(Time_ns.ms 1) ~warmup:(Time_ns.ms 50) ()
+      ~warmup:(Time_ns.ms 50) ()
   in
   Engine.run ~until:(Time_ns.ms 40) engine;
   check_int "nothing before warmup" 0 (Dcstats.Samples.count (Workload.Probe.samples_ms probe));
@@ -696,6 +719,8 @@ let () =
           Alcotest.test_case "dumbbell routing" `Quick test_dumbbell_routing;
           Alcotest.test_case "parking lot routing" `Quick test_parking_lot_routing;
           Alcotest.test_case "star routing" `Quick test_star_routing;
+          Alcotest.test_case "metrics reset forgets torn-down runs" `Quick
+            test_reset_forgets_torn_down_runs;
         ] );
       ( "workloads",
         [

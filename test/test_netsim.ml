@@ -193,18 +193,6 @@ let test_switch_byte_mode_spares_small_packets () =
   Engine.run engine;
   check_bool "big non-ECT mostly dropped" true (!received - received_before - 1 < 5)
 
-let test_switch_drop_rate_and_reset () =
-  let engine = Engine.create () in
-  let sw = one_port_switch engine ignore in
-  Switch.input sw (data_packet ());
-  Switch.input sw (data_packet ~dst:99 ());
-  Alcotest.(check (float 1e-9)) "drop rate" 0.5 (Switch.drop_rate sw);
-  Engine.run engine;
-  Switch.reset_counters sw;
-  check_int "reset forwarded" 0 (Switch.forwarded_packets sw);
-  check_int "reset drops" 0 (Switch.drops sw);
-  Alcotest.(check string) "name" "sw" (Switch.name sw)
-
 let test_switch_ecmp_group () =
   let engine = Engine.create () in
   let sw = Switch.create engine () in
@@ -473,7 +461,6 @@ let () =
           Alcotest.test_case "ecn marking" `Quick test_switch_ecn_marking;
           Alcotest.test_case "wred drops non-ect" `Quick test_switch_wred_drops_non_ect;
           Alcotest.test_case "byte-mode wred" `Quick test_switch_byte_mode_spares_small_packets;
-          Alcotest.test_case "drop rate + reset" `Quick test_switch_drop_rate_and_reset;
           Alcotest.test_case "ecmp groups" `Quick test_switch_ecmp_group;
           Alcotest.test_case "saturated port serves line rate" `Quick
             test_switch_saturated_port_rate;

@@ -16,9 +16,7 @@ let test_counter_semantics () =
   check_int "fresh counter" 0 (Metrics.value c);
   Metrics.incr c;
   Metrics.add c 41;
-  check_int "incr + add" 42 (Metrics.value c);
-  Metrics.reset c;
-  check_int "reset" 0 (Metrics.value c)
+  check_int "incr + add" 42 (Metrics.value c)
 
 let test_gauge_semantics () =
   let reg = Metrics.create () in
@@ -55,7 +53,13 @@ let test_merge_and_scopes () =
   Alcotest.(check (option int)) "gauges merge by max" (Some 30) (Metrics.find reg "switch.right.qmax");
   Metrics.reset_all reg;
   check_int "reset_all" 0 (Metrics.value d2);
-  check_int "reset_all gauge" 0 (Metrics.gauge_value q1)
+  check_int "reset_all gauge" 0 (Metrics.gauge_value q1);
+  (* The reset also drops the instruments: a handle still counts, but the
+     registry no longer lists it. *)
+  Alcotest.(check (list (pair string int))) "reset_all empties the snapshot" [] (Metrics.counters reg);
+  Metrics.incr d1;
+  check_int "a dropped handle still counts" 1 (Metrics.value d1);
+  Alcotest.(check (option int)) "but is not listed" None (Metrics.find reg "switch.left.drops")
 
 let test_metrics_json () =
   let reg = Metrics.create () in
@@ -361,6 +365,36 @@ let test_filter_of_spec () =
         (Result.is_error (Trace.filter_of_spec s)))
     [ "bogus=1"; "flow=nope"; "kind="; "flow=" ]
 
+(* [event_kinds] is the kind filter's vocabulary: every tag an event can
+   carry is listed and accepted, and a misspelled one is an error that
+   names it. *)
+let test_kind_filter_vocabulary () =
+  List.iter
+    (fun ev ->
+      let kind = Trace.kind_of_event ev in
+      Alcotest.(check bool) (kind ^ " listed") true (List.mem kind Trace.event_kinds);
+      Alcotest.(check bool)
+        (kind ^ " accepted") true
+        (Result.is_ok (Trace.filter_of_spec ("kind=" ^ kind))))
+    all_events;
+  (* [all_events] has every constructor, so the list holds nothing else. *)
+  Alcotest.(check (list string))
+    "one entry per constructor"
+    (List.sort_uniq String.compare (List.map Trace.kind_of_event all_events))
+    (List.sort String.compare Trace.event_kinds);
+  List.iter
+    (fun (spec, bad) ->
+      match Trace.filter_of_spec spec with
+      | Ok _ -> Alcotest.fail (spec ^ " accepted")
+      | Error msg ->
+        let quoted = Printf.sprintf "%S" bad in
+        let rec names i =
+          i + String.length quoted <= String.length msg
+          && (String.sub msg i (String.length quoted) = quoted || names (i + 1))
+        in
+        Alcotest.(check bool) (spec ^ ": error names " ^ quoted) true (names 0))
+    [ ("kind=enqeue", "enqeue"); ("kind=rto|impaird", "impaird"); ("flow=1:2-3:4,kind=nosuch", "nosuch") ]
+
 (* ------------------------------------------------------------------ *)
 (* JSON emitter corner cases                                           *)
 
@@ -532,6 +566,7 @@ let () =
           Alcotest.test_case "flow filter" `Quick test_flow_filter;
           Alcotest.test_case "flow_of_spec" `Quick test_flow_of_spec;
           Alcotest.test_case "filter_of_spec" `Quick test_filter_of_spec;
+          Alcotest.test_case "kind filter vocabulary" `Quick test_kind_filter_vocabulary;
         ] );
       ( "json",
         [

@@ -59,8 +59,8 @@ let test_decimation_bounds () =
 
 let test_no_decimation_under_budget () =
   let engine = Engine.create () in
-  let ts = Ts.create engine in
-  let ch = Ts.channel ts ~budget:64 "x" in
+  let ts = Ts.create ~default_budget:64 engine in
+  let ch = Ts.channel ts "x" in
   for i = 0 to 49 do
     Ts.record ch ~now:(Time_ns.ns i) (float_of_int (i * i))
   done;
@@ -146,8 +146,8 @@ let test_series_windowed_rate () =
 
 let test_binned_rate_matches_windowed_rate () =
   let engine = Engine.create () in
-  let ts = Ts.create engine in
-  let ch = Ts.channel ts ~budget:4096 "bytes" in
+  let ts = Ts.create ~default_budget:4096 engine in
+  let ch = Ts.channel ts "bytes" in
   let increments = ref [] in
   let rng = Eventsim.Rng.create ~seed:7 in
   let level = ref 0.0 in
@@ -175,8 +175,8 @@ let test_binned_rate_survives_decimation () =
      final level regardless of budget. *)
   let total_of ~budget =
     let engine = Engine.create () in
-    let ts = Ts.create engine in
-    let ch = Ts.channel ts ~budget "bytes" in
+    let ts = Ts.create ~default_budget:budget engine in
+    let ch = Ts.channel ts "bytes" in
     for i = 1 to 10_000 do
       Ts.record ch ~now:(Time_ns.ns (i * 1_000)) (float_of_int (i * 100))
     done;
@@ -191,7 +191,7 @@ let test_binned_rate_survives_decimation () =
 (* Report: build and round-trip through the parser                     *)
 
 let sample_report () =
-  let report = Obs.Report.create ~id:"unit" () in
+  let report = Obs.Report.create ~id:"unit" in
   Obs.Report.add_config report "scheme" (Json.String "AC/DC");
   Obs.Report.add_config report "pairs" (Json.Int 5);
   Obs.Report.add_scalar report "aggregate_goodput_gbps" 9.375;
@@ -350,14 +350,11 @@ let instrumented_run () =
   ignore
     (Workload.Goodput.track_aggregate ts ~name:"goodput.bytes_acked"
        ~interval:(Time_ns.us 50) conns);
-  Tcp.Endpoint.register_probes
-    (Fabric.Conn.client (List.hd conns))
-    ~ts ~prefix:"flow0" ~interval:(Time_ns.us 50);
   Engine.run ~until:(Time_ns.ms 5) engine;
   Ts.stop ts;
   let goodputs = List.map (fun c -> Fabric.Conn.goodput_gbps c ~over:(Time_ns.ms 5)) conns in
   Fabric.Topology.shutdown net;
-  let report = Obs.Report.create ~id:"determinism" () in
+  let report = Obs.Report.create ~id:"determinism" in
   Obs.Report.add_config report "pairs" (Json.Int 2);
   Obs.Report.add_scalar report "aggregate_goodput_gbps" (List.fold_left ( +. ) 0.0 goodputs);
   Obs.Report.set_metrics report (Obs.Runtime.metrics ());

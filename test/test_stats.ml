@@ -48,31 +48,6 @@ let test_samples_cache_invalidation () =
   feps "updated median" 3.0 (Samples.percentile s 50.0);
   feps "updated min" 1.0 (Samples.min s)
 
-let test_samples_cdf () =
-  let s = Samples.create () in
-  List.iter (Samples.add s) (List.init 11 float_of_int);
-  let cdf = Samples.cdf ~points:10 s in
-  Alcotest.(check int) "points+1 entries" 11 (List.length cdf);
-  let v0, f0 = List.hd cdf in
-  feps "starts at min" 0.0 v0;
-  feps "fraction 0" 0.0 f0;
-  let vn, fn = List.nth cdf 10 in
-  feps "ends at max" 10.0 vn;
-  feps "fraction 1" 1.0 fn
-
-let prop_cdf_monotone =
-  QCheck.Test.make ~name:"CDF values and fractions are nondecreasing" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 200) (float_bound_exclusive 100.0))
-    (fun xs ->
-      let s = Samples.create () in
-      List.iter (Samples.add s) xs;
-      let cdf = Samples.cdf ~points:37 s in
-      let rec monotone = function
-        | (v1, f1) :: ((v2, f2) :: _ as rest) -> v1 <= v2 && f1 <= f2 && monotone rest
-        | [ _ ] | [] -> true
-      in
-      monotone cdf)
-
 let prop_percentile_bounds =
   QCheck.Test.make ~name:"percentiles lie within [min, max]" ~count:200
     QCheck.(
@@ -120,12 +95,7 @@ let prop_fairness_scale_invariant =
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [
-      prop_cdf_monotone;
-      prop_percentile_bounds;
-      prop_fairness_bounds;
-      prop_fairness_scale_invariant;
-    ]
+    [ prop_percentile_bounds; prop_fairness_bounds; prop_fairness_scale_invariant ]
 
 let () =
   Alcotest.run "stats"
@@ -136,7 +106,6 @@ let () =
           Alcotest.test_case "interpolation" `Quick test_samples_interpolation;
           Alcotest.test_case "errors" `Quick test_samples_errors;
           Alcotest.test_case "cache invalidation" `Quick test_samples_cache_invalidation;
-          Alcotest.test_case "cdf" `Quick test_samples_cdf;
         ] );
       ( "fairness",
         [ Alcotest.test_case "known values" `Quick test_fairness_known_values ] );

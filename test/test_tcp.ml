@@ -450,19 +450,39 @@ let test_dctcp_cc_alpha_halves_on_full_marking () =
   done;
   check_int "halved at alpha=1" 5_000 !cwnd
 
+(* alpha starts at 1 and each clean window scales it by 1 - g = 15/16.  A
+   fully marked window then folds its own fraction (1) in before it cuts,
+   so after k clean windows the cut is 1 - a/2 with
+   a = 15/16 * (15/16)^k + 1/16.  An ACK of a whole cwnd closes a window
+   without growing cwnd, so every window here is exactly one ACK. *)
 let test_dctcp_cc_alpha_decays_when_clean () =
-  let view, _, _, _ = fake_view ~cwnd0:10_000 () in
-  let algo = Tcp.Dctcp_cc.factory_with ~g:0.5 () in
-  (* Two clean windows: alpha decays by (1-g) each; no cut. *)
-  for _ = 1 to 20 do
-    algo.Cc.on_ack view ~acked:1000 ~rtt:None ~ce_marked:false
+  List.iter
+    (fun k ->
+      let view, cwnd, _, _ = fake_view ~cwnd0:100_000 () in
+      let algo = Tcp.Dctcp_cc.factory () in
+      for _ = 1 to k do
+        algo.Cc.on_ack view ~acked:!cwnd ~rtt:None ~ce_marked:false
+      done;
+      check_int (Printf.sprintf "no cut in %d clean windows" k) 100_000 !cwnd;
+      algo.Cc.on_ack view ~acked:!cwnd ~rtt:None ~ce_marked:true;
+      let decayed = (15.0 /. 16.0) ** float_of_int k in
+      let alpha = (15.0 /. 16.0 *. decayed) +. (1.0 /. 16.0) in
+      let expected = 100_000.0 *. (1.0 -. (alpha /. 2.0)) in
+      check_bool
+        (Printf.sprintf "after %d clean windows the cut is 1 - alpha/2 (%.0f, got %d)" k
+           expected !cwnd)
+        true
+        (Float.abs (float_of_int !cwnd -. expected) <= 1.0))
+    [ 1; 4; 12 ];
+  (* Twelve clean windows leave alpha near 0.43: the marked window cuts by
+     about a quarter, well short of a halving. *)
+  let view, cwnd, _, _ = fake_view ~cwnd0:100_000 () in
+  let algo = Tcp.Dctcp_cc.factory () in
+  for _ = 1 to 12 do
+    algo.Cc.on_ack view ~acked:!cwnd ~rtt:None ~ce_marked:false
   done;
-  (* Indirect check: after clean windows, a marked window cuts by much
-     less than half. *)
-  let view2, cwnd2, _, _ = fake_view ~cwnd0:10_000 () in
-  ignore view2;
-  ignore cwnd2;
-  check_bool "ran without cut" true true
+  algo.Cc.on_ack view ~acked:!cwnd ~rtt:None ~ce_marked:true;
+  check_bool "well short of a halving" true (!cwnd > 70_000)
 
 let test_highspeed_gentler_cut_at_large_window () =
   let view, cwnd, _, _ = fake_view ~mss:1000 ~cwnd0:10_000_000 () in
