@@ -12,7 +12,8 @@
    Run with: dune exec bench/main.exe            (cpu and both ablations)
              dune exec bench/main.exe -- cpu     (microbenchmarks only)
              dune exec bench/main.exe -- smoke --report REPORT.json
-   Any other argument exits 1 before anything runs. *)
+   Any other argument, or an output path that cannot be written, exits 1
+   before anything runs or any file is created. *)
 
 module Engine = Eventsim.Engine
 module Packet = Dcpkt.Packet
@@ -318,6 +319,13 @@ let ablation_window_floor () =
 
 let report_out = ref "REPORT.json"
 
+let fail fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "bench: %s@." msg;
+      exit 1)
+    fmt
+
 let smoke () =
   Format.printf "@.=== smoke: 5-pair AC/DC dumbbell, 100 ms ===@.";
   let scheme = Experiments.Harness.acdc () in
@@ -402,7 +410,8 @@ let smoke () =
   | Some wheel_ns when wheel_ns > 0.0 ->
     Obs.Report.add_scalar report "sched_wheel_ns_per_op" wheel_ns
   | _ -> ());
-  Obs.Report.write report ~path:!report_out;
+  (try Obs.Report.write report ~path:!report_out
+   with Sys_error msg -> fail "cannot write --report: %s" msg);
   Format.printf "  wrote %s@." !report_out
 
 (* ------------------------------------------------------------------ *)
@@ -419,21 +428,31 @@ let scenarios =
 let all_ids = [ "cpu"; "ablation-fack"; "ablation-floor" ]
 
 let () =
-  (* Sinks open only once every argument is known to be valid, so a typo
-     creates no file and runs nothing. *)
+  (* Sinks open only once every argument and output path is known to be
+     valid, so a typo or a bad path creates no file and runs nothing. *)
+  let output flag kind path open_sink =
+    Result.iter_error (fail "%s") (Obs.Runtime.check_output ~flag kind path);
+    (flag, open_sink)
+  in
   let rec parse ids setup = function
     | [] -> (List.rev ids, List.rev setup)
-    | "--report" :: path :: rest -> parse ids ((fun () -> report_out := path) :: setup) rest
+    | "--report" :: path :: rest ->
+      parse ids (output "--report" `File path (fun () -> report_out := path) :: setup) rest
     | "--trace" :: path :: rest ->
-      parse ids ((fun () -> Obs.Runtime.trace_to_file path) :: setup) rest
+      let open_sink () = Obs.Runtime.trace_to_file path in
+      parse ids (output "--trace" `File path open_sink :: setup) rest
     | "--pcap" :: path :: rest ->
-      parse ids ((fun () -> Obs.Runtime.pcap_to_file path) :: setup) rest
+      let open_sink () = Obs.Runtime.pcap_to_file path in
+      parse ids (output "--pcap" `File path open_sink :: setup) rest
     | "--timeseries" :: dir :: rest ->
-      parse ids ((fun () -> Obs.Runtime.set_timeseries_sink ~dir) :: setup) rest
-    | "--profile" :: rest -> parse ids ((fun () -> Obs.Runtime.profile_to ()) :: setup) rest
+      let open_sink () = Obs.Runtime.set_timeseries_sink ~dir in
+      parse ids (output "--timeseries" `Dir dir open_sink :: setup) rest
+    | "--profile" :: rest ->
+      parse ids (("--profile", fun () -> Obs.Runtime.profile_to ()) :: setup) rest
     | arg :: rest when String.length arg > 10 && String.sub arg 0 10 = "--profile=" ->
       let folded = String.sub arg 10 (String.length arg - 10) in
-      parse ids ((fun () -> Obs.Runtime.profile_to ~folded ()) :: setup) rest
+      let open_sink () = Obs.Runtime.profile_to ~folded () in
+      parse ids (output "--profile" `File folded open_sink :: setup) rest
     | arg :: rest -> parse (arg :: ids) setup rest
   in
   let ids, setup = parse [] [] (List.tl (Array.to_list Sys.argv)) in
@@ -441,14 +460,16 @@ let () =
   (match List.filter (fun id -> not (List.mem_assoc id scenarios)) ids with
   | [] -> ()
   | unknown ->
-    Format.eprintf
-      "bench: unknown argument(s): %s@.valid ids: %s, or all (the paper's figures run under \
+    fail
+      "unknown argument(s): %s@.valid ids: %s, or all (the paper's figures run under \
        bin/acdc_expt.exe)@.flags: --report FILE, --trace FILE, --pcap FILE, --timeseries DIR, \
-       --profile[=FILE]@."
+       --profile[=FILE]"
       (String.concat ", " unknown)
-      (String.concat ", " (List.map fst scenarios));
-    exit 1);
-  List.iter (fun open_sink -> open_sink ()) setup;
+      (String.concat ", " (List.map fst scenarios)));
+  List.iter
+    (fun (flag, open_sink) ->
+      try open_sink () with Sys_error msg -> fail "cannot write %s: %s" flag msg)
+    setup;
   List.iter
     (fun id ->
       let wall_s, _ = Experiments.Harness.timed_run (List.assoc id scenarios) in

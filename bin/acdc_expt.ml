@@ -6,14 +6,18 @@ let list_experiments () =
     (fun e -> Format.printf "  %-14s %s@." e.Experiments.Registry.id e.Experiments.Registry.title)
     (Experiments.Registry.all ())
 
+let fail fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s@." msg;
+      exit 1)
+    fmt
+
+let writing flag f = try f () with Sys_error msg -> fail "cannot write %s: %s" flag msg
+
 (* Run each experiment bracketed by the observability harness; returns
    each id's wall time and simulator event count. *)
 let run_ids ids =
-  let missing = List.filter (fun id -> Experiments.Registry.find id = None) ids in
-  if missing <> [] then begin
-    Format.eprintf "unknown experiment(s): %s@." (String.concat ", " missing);
-    exit 1
-  end;
   List.map
     (fun id ->
       let e = Option.get (Experiments.Registry.find id) in
@@ -40,7 +44,7 @@ let write_report ~path runs =
      resets between runs); for one report per experiment, run each id on
      its own, as farm.exe does. *)
   Experiments.Harness.add_observer_sections report;
-  Obs.Report.write report ~path
+  writing "--report" (fun () -> Obs.Report.write report ~path)
 
 open Cmdliner
 
@@ -159,7 +163,8 @@ let run_fuzz ~count ~seed ~report =
   in
   Option.iter
     (fun path ->
-      Obs.Report.write (Experiments.Fuzz_harness.report_of_outcomes outcomes) ~path;
+      writing "--report" (fun () ->
+          Obs.Report.write (Experiments.Fuzz_harness.report_of_outcomes outcomes) ~path);
       Format.printf "  [report written to %s]@." path)
     report;
   if violations = 0 then Format.printf "all invariants held@."
@@ -180,91 +185,78 @@ let run_fuzz ~count ~seed ~report =
 let main verbose list trace trace_filter pcap report timeseries impair profile
     int_enabled attrib_enabled fuzz seed ids =
   setup_logs verbose;
-  (* Parsed before any output file is opened: a bad spec creates none. *)
+  (* Every spec and output path is checked before any output is created,
+     truncated or made, so a bad flag leaves the file system as it was. *)
   let trace_filter =
     match trace_filter with
     | None -> None
-    | Some spec when trace = None ->
-      Format.eprintf "--trace-filter %S requires --trace@." spec;
-      exit 1
+    | Some spec when trace = None -> fail "--trace-filter %S requires --trace" spec
     | Some spec -> (
       match Obs.Trace.filter_of_spec spec with
       | Ok wrap -> Some wrap
-      | Error msg ->
-        Format.eprintf "bad --trace-filter spec: %s@." msg;
-        exit 1)
+      | Error msg -> fail "bad --trace-filter spec: %s" msg)
   in
+  let impair =
+    Option.map
+      (fun spec ->
+        match Netsim.Impair.config_of_string spec with
+        | Ok config -> config
+        | Error msg -> fail "bad --impair spec: %s" msg)
+      impair
+  in
+  let ids = if ids = [ "all" ] then Experiments.Registry.ids () else ids in
+  (match (fuzz, List.filter (fun id -> Experiments.Registry.find id = None) ids) with
+  | Some count, _ when count <= 0 -> fail "--fuzz expects a positive count"
+  | None, (_ :: _ as missing) when not list ->
+    fail "unknown experiment(s): %s" (String.concat ", " missing)
+  | _ -> ());
+  let check_output flag kind =
+    Option.iter (fun path ->
+        Result.iter_error (fail "%s") (Obs.Runtime.check_output ~flag kind path))
+  in
+  check_output "--trace" `File trace;
+  check_output "--pcap" `File pcap;
+  check_output "--report" `File report;
+  check_output "--timeseries" `Dir timeseries;
+  check_output "--profile" `File profile;
   if int_enabled then Dcpkt.Int_meta.set_enabled true;
   if attrib_enabled then Obs.Attrib.set_enabled (Obs.Runtime.attrib ()) true;
   Option.iter (fun folded -> Obs.Runtime.profile_to ~folded ()) profile;
-  (try Option.iter Obs.Runtime.trace_to_file trace
-   with Sys_error msg ->
-     Format.eprintf "cannot open trace file: %s@." msg;
-     exit 1);
+  Option.iter (fun path -> writing "--trace" (fun () -> Obs.Runtime.trace_to_file path)) trace;
   Option.iter (fun wrap -> Obs.Runtime.set_tracer (wrap (Obs.Runtime.tracer ()))) trace_filter;
-  (try Option.iter Obs.Runtime.pcap_to_file pcap
-   with Sys_error msg ->
-     Format.eprintf "cannot open pcap file: %s@." msg;
-     exit 1);
-  (* Fail on unwritable output paths before spending minutes simulating. *)
-  (try
-     Option.iter
-       (fun path ->
-         let oc = open_out path in
-         close_out oc)
-       report
-   with Sys_error msg ->
-     Format.eprintf "cannot open report file: %s@." msg;
-     exit 1);
-  (try
-     Option.iter
-       (fun dir ->
-         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-         else if not (Sys.is_directory dir) then raise (Sys_error (dir ^ ": not a directory"));
-         Obs.Runtime.set_timeseries_sink ~dir)
-       timeseries
-   with Sys_error msg ->
-     Format.eprintf "cannot open timeseries directory: %s@." msg;
-     exit 1);
-  (match impair with
-  | None -> ()
-  | Some spec -> (
-    match Netsim.Impair.config_of_string spec with
-    | Ok config -> Netsim.Impair.set_default ~config ~seed
-    | Error msg ->
-      Format.eprintf "bad --impair spec: %s@." msg;
-      exit 1));
-  match fuzz with
-  | Some count ->
-    if count <= 0 then begin
-      Format.eprintf "--fuzz expects a positive count@.";
-      exit 1
-    end;
-    let violations = run_fuzz ~count ~seed ~report in
-    Obs.Runtime.clear_timeseries_sink ();
-    Obs.Runtime.close_trace ();
-    Obs.Runtime.close_pcap ();
-    Obs.Runtime.close_profile ();
-    if violations > 0 then exit 1
-  | None ->
-  if list || ids = [] then list_experiments ()
-  else begin
-    let ids = if ids = [ "all" ] then Experiments.Registry.ids () else ids in
-    let runs = run_ids ids in
-    Option.iter
-      (fun path ->
-        write_report ~path runs;
-        Format.printf "  [report written to %s]@." path)
-      report;
-    Option.iter (Format.printf "  [timeseries written to %s]@.") timeseries
-  end;
+  Option.iter (fun path -> writing "--pcap" (fun () -> Obs.Runtime.pcap_to_file path)) pcap;
+  Option.iter
+    (fun dir ->
+      writing "--timeseries" (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
+      Obs.Runtime.set_timeseries_sink ~dir)
+    timeseries;
+  Option.iter (fun config -> Netsim.Impair.set_default ~config ~seed) impair;
+  let violations =
+    match fuzz with
+    | Some count -> run_fuzz ~count ~seed ~report
+    | None ->
+      if list || ids = [] then list_experiments ()
+      else begin
+        let runs = run_ids ids in
+        Option.iter
+          (fun path ->
+            write_report ~path runs;
+            Format.printf "  [report written to %s]@." path)
+          report;
+        Option.iter (Format.printf "  [timeseries written to %s]@.") timeseries
+      end;
+      0
+  in
   Obs.Runtime.clear_timeseries_sink ();
   Obs.Runtime.close_trace ();
   Obs.Runtime.close_pcap ();
-  Obs.Runtime.close_profile ();
-  Option.iter (Format.printf "  [trace written to %s]@.") trace;
-  Option.iter (Format.printf "  [pcap written to %s]@.") pcap;
-  Option.iter (Format.printf "  [folded profile stacks written to %s]@.") profile
+  writing "--profile" Obs.Runtime.close_profile;
+  if violations > 0 then exit 1;
+  if fuzz = None then begin
+    Option.iter (Format.printf "  [trace written to %s]@.") trace;
+    Option.iter (Format.printf "  [pcap written to %s]@.") pcap;
+    Option.iter (Format.printf "  [folded profile stacks written to %s]@.") profile
+  end
 
 let cmd =
   let doc = "reproduce the AC/DC TCP (SIGCOMM 2016) experiments" in

@@ -6,6 +6,7 @@ module Json = Obs.Json
 module Trace = Obs.Trace
 module Pcap = Obs.Pcap
 module Packet = Dcpkt.Packet
+module Int_sink = Obs.Int_sink
 module Flow_key = Dcpkt.Flow_key
 module Samples = Dcstats.Samples
 
@@ -164,127 +165,57 @@ let summary events =
 (* ------------------------------------------------------------------ *)
 (* int: break a flow's latency down hop-by-hop from its INT samples.   *)
 
-type hop_agg = {
-  mutable first_depth : int;  (* position along the path, for ordering *)
-  sojourn : Samples.t;
-  mutable sum_sojourn : int;
-  mutable max_qbytes : int;
-  mutable svc_sum : float;
-}
-
 let int_view events spec =
   let flow = match Trace.flow_of_spec spec with Ok f -> f | Error e -> failf "%s" e in
   let fwd k = Flow_key.equal k flow in
-  let rev k = Flow_key.equal k (Flow_key.reverse flow) in
   (* The ACKs of a flow carry their own stamps under the reversed
-     4-tuple, so aggregate the two directions separately. *)
-  let aggs : (bool * string, hop_agg) Hashtbl.t = Hashtbl.create 16 in
-  let agg_of is_fwd label =
-    match Hashtbl.find_opt aggs (is_fwd, label) with
-    | Some a -> a
-    | None ->
-      let a =
-        {
-          first_depth = max_int;
-          sojourn = Samples.create ();
-          sum_sojourn = 0;
-          max_qbytes = 0;
-          svc_sum = 0.0;
-        }
-      in
-      Hashtbl.replace aggs (is_fwd, label) a;
-      a
-  in
-  let created = Hashtbl.create 1024 in (* fwd pkt id -> creation time *)
-  let delivered = Hashtbl.create 1024 in
-  let pkt_sojourn = Hashtbl.create 1024 in (* fwd pkt id -> summed hop sojourn *)
-  let stripped = ref 0 and exceeded = ref 0 and hop_samples = ref 0 in
+     4-tuple, so fold the two directions into separate sinks. *)
+  let data = Int_sink.create () and ack = Int_sink.create () in
+  Int_sink.replay
+    (fun f ->
+      if fwd f then Some data else if Flow_key.equal f (Flow_key.reverse flow) then Some ack
+      else None)
+    events;
+  let data_rows = Int_sink.rows data and ack_rows = Int_sink.rows ack in
+  let samples rows = List.fold_left (fun acc (r : Int_sink.row) -> acc + r.samples) 0 rows in
+  let hop_samples = samples data_rows + samples ack_rows in
+  if hop_samples = 0 then
+    failf "no INT samples for flow %s in this trace (was the run INT-enabled?)" spec;
+  let exceeded = Int_sink.exceeded data + Int_sink.exceeded ack in
+  Format.printf "flow %a: %d stamped packets, %d hop samples%s@." Flow_key.pp flow
+    (Int_sink.packets data + Int_sink.packets ack) hop_samples
+    (if exceeded > 0 then Printf.sprintf " (%d packets ran out of option space)" exceeded
+     else "");
+  List.iter
+    (fun (title, rows) ->
+      if rows <> [] then begin
+        Format.printf "%s (per-hop queueing):@." title;
+        Int_sink.pp_rows Format.std_formatter rows
+      end)
+    [ ("data path", data_rows); ("ack path", ack_rows) ];
+  (* End-to-end attribution: creation -> delivery against the summed hop
+     sojourns of the same packets.  A packet's stamps are stripped just
+     before its delivery, so their sum is complete when it is delivered. *)
+  let created = Hashtbl.create 1024 in (* data pkt id -> creation time *)
+  let pkt_sojourn = Hashtbl.create 1024 in (* data pkt id -> summed hop sojourn *)
+  let e2e = Samples.create () and path = Samples.create () in
+  let sum_e2e = ref 0 and sum_path = ref 0 in
   List.iter
     (fun (now, ev) ->
       match ev with
       | Trace.Created { flow = f; pkt; _ } when fwd f -> Hashtbl.replace created pkt now
-      | Trace.Delivered { pkt; _ } -> Hashtbl.replace delivered pkt now
-      | Trace.Int_hop { flow = f; pkt; depth; hop; port; ingress; egress; qbytes; svc_bps }
-        when fwd f || rev f ->
-        let is_fwd = fwd f in
-        let label = Dcpkt.Int_meta.label ~name:hop ~port in
-        let a = agg_of is_fwd label in
-        let sojourn = egress - ingress in
-        a.first_depth <- min a.first_depth depth;
-        Samples.add a.sojourn (float_of_int sojourn);
-        a.sum_sojourn <- a.sum_sojourn + sojourn;
-        a.max_qbytes <- Stdlib.max a.max_qbytes qbytes;
-        a.svc_sum <- a.svc_sum +. float_of_int svc_bps;
-        incr hop_samples;
-        if is_fwd then
-          Hashtbl.replace pkt_sojourn pkt
-            (sojourn + Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt))
-      | Trace.Int_strip { flow = f; exceeded = e; _ } when fwd f || rev f ->
-        incr stripped;
-        if e then incr exceeded
+      | Trace.Int_hop { flow = f; pkt; ingress; egress; _ } when fwd f ->
+        Hashtbl.replace pkt_sojourn pkt
+          (egress - ingress + Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt))
+      | Trace.Delivered { pkt; _ } when Hashtbl.mem created pkt ->
+        let latency = now - Hashtbl.find created pkt in
+        let s = Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt) in
+        Samples.add e2e (float_of_int latency);
+        Samples.add path (float_of_int s);
+        sum_e2e := !sum_e2e + latency;
+        sum_path := !sum_path + s
       | _ -> ())
     events;
-  if !hop_samples = 0 then
-    failf "no INT samples for flow %s in this trace (was the run INT-enabled?)" spec;
-  Format.printf "flow %a: %d stamped packets, %d hop samples%s@." Flow_key.pp flow !stripped
-    !hop_samples
-    (if !exceeded > 0 then
-       Printf.sprintf " (%d packets ran out of option space)" !exceeded
-     else "");
-  let direction is_fwd title =
-    let hops =
-      Hashtbl.fold (fun (d, label) a acc -> if d = is_fwd then (label, a) :: acc else acc) aggs []
-      |> List.sort (fun (la, a) (lb, b) ->
-             match compare a.first_depth b.first_depth with
-             | 0 -> String.compare la lb
-             | c -> c)
-    in
-    if hops <> [] then begin
-      let total = List.fold_left (fun acc (_, a) -> acc + a.sum_sojourn) 0 hops in
-      Format.printf "%s (per-hop queueing, path order):@." title;
-      Format.printf "  %-16s %6s %9s %9s %9s %6s %9s %8s@." "hop" "pkts" "p50 us" "p99 us"
-        "max us" "share" "max q B" "svc Gbps";
-      List.iter
-        (fun (label, a) ->
-          let n = Samples.count a.sojourn in
-          Format.printf "  %-16s %6d %9.3f %9.3f %9.3f %5.1f%% %9d %8.2f@." label n
-            (Samples.percentile a.sojourn 50.0 /. 1000.0)
-            (Samples.percentile a.sojourn 99.0 /. 1000.0)
-            (Samples.max a.sojourn /. 1000.0)
-            (if total = 0 then 0.0 else 100.0 *. float_of_int a.sum_sojourn /. float_of_int total)
-            a.max_qbytes
-            (a.svc_sum /. float_of_int n /. 1e9))
-        hops;
-      (* Name the culprit: the hop where queueing built up. *)
-      (match
-         List.sort (fun (_, a) (_, b) -> compare b.sum_sojourn a.sum_sojourn) hops
-       with
-      | (label, a) :: _ :: _ when a.sum_sojourn > 0 ->
-        Format.printf "  queueing builds up at %s (%.1f%% of %s queueing, p99 %.3f us)@." label
-          (100.0 *. float_of_int a.sum_sojourn /. float_of_int total)
-          title
-          (Samples.percentile a.sojourn 99.0 /. 1000.0)
-      | _ -> ())
-    end;
-    List.fold_left (fun acc (_, a) -> acc + a.sum_sojourn) 0 hops
-  in
-  let fwd_total = direction true "data path" in
-  let _ack_total = direction false "ack path" in
-  (* End-to-end attribution: creation -> delivery against the summed hop
-     sojourns of the same packets. *)
-  let e2e = Samples.create () and path = Samples.create () in
-  let sum_e2e = ref 0 and sum_path = ref 0 in
-  Hashtbl.iter
-    (fun pkt t0 ->
-      match Hashtbl.find_opt delivered pkt with
-      | None -> ()
-      | Some t1 ->
-        let s = Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt) in
-        Samples.add e2e (float_of_int (t1 - t0));
-        Samples.add path (float_of_int s);
-        sum_e2e := !sum_e2e + (t1 - t0);
-        sum_path := !sum_path + s)
-    created;
   if Samples.count e2e > 0 then begin
     Format.printf
       "end-to-end (created -> delivered, %d packets): mean %.3f us, p99 %.3f us@."
@@ -301,7 +232,7 @@ let int_view events spec =
        queues)@."
   end;
   Format.printf "total stamped sojourn: %.3f us on the data path@."
-    (float_of_int fwd_total /. 1000.0)
+    (us (List.fold_left (fun acc (r : Int_sink.row) -> acc + r.sum_ns) 0 data_rows))
 
 (* ------------------------------------------------------------------ *)
 (* why: a flow's causal stall timeline from its attribution events.    *)
@@ -359,29 +290,18 @@ let why_view events spec =
            (us ns));
   (* Split "in_flight" further when the trace carries INT stamps: which
      switch port the waiting actually happened at. *)
-  let hops = Hashtbl.create 8 in
-  List.iter
-    (fun (_, ev) ->
-      match ev with
-      | Trace.Int_hop { flow = f; hop; port; ingress; egress; _ } when Flow_key.equal f flow ->
-        let label = Dcpkt.Int_meta.label ~name:hop ~port in
-        let sum, n = Option.value ~default:(0, 0) (Hashtbl.find_opt hops label) in
-        Hashtbl.replace hops label (sum + (egress - ingress), n + 1)
-      | _ -> ())
-    events;
-  if Hashtbl.length hops > 0 then begin
-    let total = Hashtbl.fold (fun _ (sum, _) acc -> acc + sum) hops 0 in
-    Format.printf "in_flight decomposition (per-hop queueing, from INT):@.";
-    Hashtbl.fold (fun label agg acc -> (label, agg) :: acc) hops []
-    |> List.sort (fun (_, (a, _)) (_, (b, _)) -> compare b a)
-    |> List.iter (fun (label, (sum, n)) ->
-           Format.printf "  %-16s %5.1f%%  %12.3f us over %d packets@." label
-             (if total = 0 then 0.0 else 100.0 *. float_of_int sum /. float_of_int total)
-             (us sum) n)
-  end
-  else
+  let sink = Int_sink.create () in
+  Int_sink.replay (fun f -> if Flow_key.equal f flow then Some sink else None) events;
+  match Int_sink.rows sink with
+  | [] ->
     Format.printf
       "(no INT samples for this flow; rerun with --int to split in_flight per hop)@."
+  | rows ->
+    Format.printf "in_flight decomposition (per-hop queueing, from INT):@.";
+    List.stable_sort (fun (a : Int_sink.row) b -> Int.compare b.sum_ns a.sum_ns) rows
+    |> List.iter (fun (r : Int_sink.row) ->
+           Format.printf "  %-16s %5.1f%%  %12.3f us over %d packets@." r.label
+             (100.0 *. r.share) (us r.sum_ns) r.samples)
 
 (* ------------------------------------------------------------------ *)
 (* validate: do the capture, the trace and the report agree?           *)
@@ -474,31 +394,26 @@ let check_pcap_roundtrip frames =
    tap has an exact witness — Dequeue events, the vswitch egress counter
    plus Delivered/No_endpoint events, and the impair counters — so for an
    unfiltered trace the frame count must match to the packet. *)
-let load_metrics = function
-  | None -> ([], [])
-  | Some path -> (
-    match Json.of_string (read_file path) with
-    | Error e -> failf "%s: %s" path e
-    | Ok json ->
-      let section name =
-        match Option.bind (Json.member "metrics" json) (Json.member name) with
-        | Some (Json.Obj fields) ->
-          List.filter_map
-            (fun (k, v) -> match v with Json.Int i -> Some (k, i) | _ -> None)
-            fields
-        | _ -> failf "%s: no metrics.%s object" path name
-      in
-      (section "counters", section "gauges"))
+let load_report path =
+  let json =
+    match Json.of_string (read_file path) with Ok json -> json | Error e -> failf "%s: %s" path e
+  in
+  let section name =
+    match Option.bind (Json.member "metrics" json) (Json.member name) with
+    | Some (Json.Obj fields) ->
+      List.filter_map (fun (k, v) -> match v with Json.Int i -> Some (k, i) | _ -> None) fields
+    | _ -> failf "%s: no metrics.%s object" path name
+  in
+  (json, (section "counters", section "gauges"))
 
-let check_counts frames events report_path counters =
-  let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
+let check_counts frames events ~metrics =
   let count p = List.length (List.filter (fun (_, ev) -> p ev) events) in
   let dequeues = count (function Trace.Dequeue _ -> true | _ -> false) in
   let delivered = count (function Trace.Delivered _ -> true | _ -> false) in
   let no_endpoint =
     count (function Trace.Drop { reason = Trace.No_endpoint; _ } -> true | _ -> false)
   in
-  match report_path with
+  match metrics with
   | None ->
     (* Without the metrics snapshot only the tap inventory from the trace
        is available; the VM egress tap has no trace witness, so settle for
@@ -507,8 +422,8 @@ let check_counts frames events report_path counters =
       (List.length frames >= dequeues + delivered + no_endpoint)
       (Printf.sprintf "%d frames < %d dequeues + %d delivered + %d no-endpoint"
          (List.length frames) dequeues delivered no_endpoint)
-  | Some _ ->
-    let vm_egress = counter "vswitch.egress_packets" in
+  | Some (counters, _) ->
+    let vm_egress = Option.value ~default:0 (List.assoc_opt "vswitch.egress_packets" counters) in
     let impair_forwarded =
       (* Link names may themselves contain dots ("impair.host1.up.lost"),
          so the field is the segment after the last dot. *)
@@ -537,67 +452,49 @@ let check_counts frames events report_path counters =
 (* INT stamps must agree with the queue's own story: every Int_hop's
    ingress/egress must coincide with the packet's Enqueue/Dequeue pair at
    that node and port, and (with a report) the per-port sojourn totals
-   implied by the stamps must fit under the independent
+   the replayed stamps fold to must fit under the independent
    [txq.<node>.port<i>.sojourn_*] instruments — the cross-check behind
    the per-hop attribution guarantee. *)
-let check_int events (counters, gauges) ~have_report =
-  let int_hops =
-    List.filter_map
-      (fun (_, ev) ->
-        match ev with
-        | Trace.Int_hop { pkt; hop; port; ingress; egress; _ } ->
-          Some (pkt, hop, port, ingress, egress)
-        | _ -> None)
-      events
-  in
-  if int_hops = [] then true (* nothing stamped; stay quiet *)
+let check_int events rows ~metrics =
+  if rows = [] then true (* nothing stamped; stay quiet *)
   else begin
     let enq = Hashtbl.create 4096 and deq = Hashtbl.create 4096 in
+    let hops = ref 0 and bad = ref 0 and first = ref "" in
     List.iter
       (fun (now, ev) ->
         match ev with
         | Trace.Enqueue { node; port; pkt; _ } -> Hashtbl.replace enq (pkt, node, port) now
         | Trace.Dequeue { node; port; pkt; _ } -> Hashtbl.replace deq (pkt, node, port) now
+        | Trace.Int_hop { pkt; hop; port; ingress; egress; _ } ->
+          (* A packet's stamps are stripped after it left the hop's queue,
+             so its Enqueue/Dequeue pair is already recorded. *)
+          let key = (pkt, hop, port) in
+          incr hops;
+          if Hashtbl.find_opt enq key <> Some ingress || Hashtbl.find_opt deq key <> Some egress
+          then begin
+            incr bad;
+            if !first = "" then first := Printf.sprintf "pkt %d at %s:%d" pkt hop port
+          end
         | _ -> ())
       events;
-    let bad = ref 0 and first = ref "" in
-    List.iter
-      (fun (pkt, hop, port, ingress, egress) ->
-        let key = (pkt, hop, port) in
-        let ok =
-          Hashtbl.find_opt enq key = Some ingress && Hashtbl.find_opt deq key = Some egress
-        in
-        if not ok then begin
-          incr bad;
-          if !first = "" then first := Printf.sprintf "pkt %d at %s:%d" pkt hop port
-        end)
-      int_hops;
     let ok1 =
       check
-        (Printf.sprintf "INT stamps match enqueue/dequeue (%d hops)" (List.length int_hops))
+        (Printf.sprintf "INT stamps match enqueue/dequeue (%d hops)" !hops)
         (!bad = 0)
         (Printf.sprintf "%d stamp(s) disagree with queue events (e.g. %s)" !bad !first)
     in
     let ok2 =
-      if not have_report then true
-      else begin
+      match metrics with
+      | None -> true
+      | Some (counters, gauges) ->
         (* Per (node, port): INT is a per-packet subset of what the txq
            sojourn instruments saw, so max <= gauge and sum/count <= the
            counters. *)
-        let ports = Hashtbl.create 16 in
-        List.iter
-          (fun (_, hop, port, ingress, egress) ->
-            let max_s, sum_s, n =
-              Option.value ~default:(0, 0, 0) (Hashtbl.find_opt ports (hop, port))
-            in
-            let s = egress - ingress in
-            Hashtbl.replace ports (hop, port) (Stdlib.max max_s s, sum_s + s, n + 1))
-          int_hops;
         let metric assoc name = List.assoc_opt name assoc in
         let bad = ref 0 and first = ref "" in
-        Hashtbl.iter
-          (fun (hop, port) (max_s, sum_s, n) ->
-            let scope = Printf.sprintf "txq.%s.port%d" hop port in
+        List.iter
+          (fun (r : Int_sink.row) ->
+            let scope = Printf.sprintf "txq.%s.port%d" r.node r.port in
             let fail fmt = Printf.ksprintf (fun s -> incr bad; if !first = "" then first := s) fmt in
             match
               ( metric gauges (scope ^ ".sojourn_ns"),
@@ -605,19 +502,34 @@ let check_int events (counters, gauges) ~have_report =
                 metric counters (scope ^ ".sojourn_samples") )
             with
             | Some g, Some total, Some samples ->
-              if max_s > g then fail "%s: INT max %d > gauge %d" scope max_s g
-              else if sum_s > total then fail "%s: INT sum %d > total %d" scope sum_s total
-              else if n > samples then fail "%s: %d INT samples > %d recorded" scope n samples
+              if r.max_ns > g then fail "%s: INT max %d > gauge %d" scope r.max_ns g
+              else if r.sum_ns > total then fail "%s: INT sum %d > total %d" scope r.sum_ns total
+              else if r.samples > samples then
+                fail "%s: %d INT samples > %d recorded" scope r.samples samples
             | _ -> fail "%s: sojourn instruments missing from report" scope)
-          ports;
+          rows;
         check
-          (Printf.sprintf "INT sojourns fit txq instruments (%d ports)" (Hashtbl.length ports))
+          (Printf.sprintf "INT sojourns fit txq instruments (%d ports)" (List.length rows))
           (!bad = 0)
           (Printf.sprintf "%d port(s) out of bounds (e.g. %s)" !bad !first)
-      end
     in
     ok1 && ok2
   end
+
+(* The report's [int] section is the run's ambient sink, which folded the
+   same stacks the trace records, so replaying the trace must rebuild it
+   exactly.  Both sides go through the JSON printer: a float the report
+   printed parses back to one that prints the same. *)
+let check_int_replay sink report_json =
+  match Json.member "int" report_json with
+  | None ->
+    Format.printf "  %-38s does not apply (no int section)@." "report int section = replayed trace";
+    true
+  | Some reported ->
+    check
+      (Printf.sprintf "report int section = replayed trace (%d stacks)" (Int_sink.packets sink))
+      (Json.to_string reported = Json.to_string (Int_sink.to_json sink))
+      "the trace's int_hop/int_strip events fold to another section"
 
 let validate ~pcap ~trace ~report =
   let events = load_trace trace in
@@ -626,14 +538,18 @@ let validate ~pcap ~trace ~report =
   let frames =
     match Pcap.read (read_file pcap) with Ok f -> f | Error e -> failf "%s: %s" pcap e
   in
-  let metrics = load_metrics report in
+  let report = Option.map load_report report in
+  let metrics = Option.map snd report in
+  let sink = Int_sink.create () in
+  Int_sink.replay (fun _ -> Some sink) events;
   (* Run every check even after a failure, so one run reports them all. *)
   let c1 = check (Printf.sprintf "trace parses (%d events)" (List.length events)) true "" in
   let c2 = check_pcap_roundtrip frames in
   let c3 = check_lifecycles events in
-  let c4 = check_counts frames events report (fst metrics) in
-  let c5 = check_int events metrics ~have_report:(report <> None) in
-  let ok = c1 && c2 && c3 && c4 && c5 in
+  let c4 = check_counts frames events ~metrics in
+  let c5 = check_int events (Int_sink.rows sink) ~metrics in
+  let c6 = match report with Some (json, _) -> check_int_replay sink json | None -> true in
+  let ok = c1 && c2 && c3 && c4 && c5 && c6 in
   if not ok then failf "validation failed";
   Format.printf "all checks passed@."
 
@@ -714,7 +630,7 @@ let validate_cmd =
     Arg.(required & opt (some file) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let report_arg =
-    let doc = "Run report of the same run; enables the exact frame-count cross-check." in
+    let doc = "Run report of the same run; enables the frame-count check and two INT checks." in
     Arg.(value & opt (some file) None & info [ "report" ] ~docv:"FILE" ~doc)
   in
   let run pcap trace report = wrap (fun () -> validate ~pcap ~trace ~report) in

@@ -89,20 +89,9 @@ module Attrib_fig = struct
     in
     let fracs =
       List.map
-        (fun state ->
-          let mean =
-            List.fold_left
-              (fun acc (s : Obs.Attrib.snapshot) ->
-                if s.snap_fct <= 0 then acc
-                else
-                  acc
-                  +. float_of_int (List.assoc state s.snap_states)
-                     /. float_of_int s.snap_fct)
-              0.0 snaps
-            /. nf
-          in
-          (state, mean))
-        Obs.Attrib.all_states
+        (fun (state, samples) ->
+          (state, if Dcstats.Samples.is_empty samples then 0.0 else Dcstats.Samples.mean samples))
+        (Obs.Attrib.fct_fractions snaps)
     in
     let hop_totals : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
     List.iter

@@ -3,27 +3,17 @@
     Runs the parking-lot topology with INT stamping enabled, subscribes
     to the stripped stacks of the longest flow through
     {!Acdc.Int_feedback} (the channel an in-fabric congestion law would
-    use) and breaks that flow's latency down by switch hop. *)
+    use), folds them into a private {!Obs.Int_sink} and prints its hop
+    table: that flow's latency broken down by switch hop. *)
 
 module Int_hops : sig
-  type hop_row = {
-    label : string;
-    samples : int;
-    p50_us : float;
-    p99_us : float;
-    max_us : float;
-    share : float;
-    max_qbytes : int;
-    mean_svc_gbps : float;
-  }
-
   type result = {
     scheme : string;
     senders : int;
     watched : Dcpkt.Flow_key.t;
-    stacks : int;
+    stacks : int;  (** stacks of the watched flow, both directions *)
     tputs : float list;
-    hops : hop_row list;
+    hops : Obs.Int_sink.row list;  (** from a private {!Obs.Int_sink}, path order *)
   }
 
   val run : ?duration:float -> ?senders:int -> unit -> result

@@ -82,7 +82,7 @@ let add_observer_sections report =
     List.iter (fun (key, v) -> Obs.Report.add_scalar report key v) (Obs.Prof.baselines ())
   end;
   let sink = Obs.Runtime.int_sink () in
-  if Obs.Int_sink.touched sink then Obs.Report.set_int report (Obs.Int_sink.to_json sink);
+  if Obs.Int_sink.packets sink > 0 then Obs.Report.set_int report (Obs.Int_sink.to_json sink);
   let attrib = Obs.Runtime.attrib () in
   if Obs.Attrib.touched attrib then Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib)
 

@@ -33,15 +33,6 @@ let state_index = function
   | Rto_recovery -> 5
   | In_flight -> 6
 
-let state_of_index = function
-  | 0 -> Handshake
-  | 1 -> App_limited
-  | 2 -> Cwnd_limited
-  | 3 -> Rwnd_limited_native
-  | 4 -> Rwnd_limited_enforced
-  | 5 -> Rto_recovery
-  | _ -> In_flight
-
 let state_label = function
   | Handshake -> "handshake"
   | App_limited -> "app_limited"
@@ -304,11 +295,7 @@ let samples_json samples =
   in
   Json.Obj (("count", Json.Int count) :: body)
 
-let to_json t =
-  let clocks = sorted_clocks t in
-  let snaps = List.filter_map (fun c -> c.snap) clocks in
-  (* Aggregate percentile stacks: each completed flow contributes, per
-     state, the fraction of its FCT spent there. *)
+let fct_fractions snaps =
   let fractions = Array.init n_states (fun _ -> Dcstats.Samples.create ()) in
   List.iter
     (fun snap ->
@@ -320,6 +307,11 @@ let to_json t =
               (float_of_int d /. float_of_int snap.snap_fct))
           snap.snap_states)
     snaps;
+  List.map (fun s -> (s, fractions.(state_index s))) all_states
+
+let to_json t =
+  let clocks = sorted_clocks t in
+  let snaps = List.filter_map (fun c -> c.snap) clocks in
   Json.Obj
     [
       ("flows", Json.Int (List.length clocks));
@@ -327,7 +319,7 @@ let to_json t =
       ("rows", Json.List (List.map row_json clocks));
       ( "aggregate",
         Json.Obj
-          (List.mapi
-             (fun i samples -> (state_label (state_of_index i) ^ "_frac", samples_json samples))
-             (Array.to_list fractions)) );
+          (List.map
+             (fun (s, samples) -> (state_label s ^ "_frac", samples_json samples))
+             (fct_fractions snaps)) );
     ]

@@ -142,6 +142,11 @@ val completed : t -> snapshot list
 
 val find_snapshot : t -> Dcpkt.Flow_key.t -> snapshot option
 
+val fct_fractions : snapshot list -> (state * Dcstats.Samples.t) list
+(** Per state, in {!all_states} order: the fraction of its FCT each
+    snapshot with a positive FCT spent there, in list order.  The
+    report's [aggregate] section summarizes these samples. *)
+
 val to_json : t -> Json.t
 (** The report's [fct_attrib] section: per-flow rows (completed flows
     carry ["fct_ns"] and exact state durations; still-live flows carry

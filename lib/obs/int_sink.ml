@@ -1,17 +1,19 @@
 module Flow_key = Dcpkt.Flow_key
 module Int_meta = Dcpkt.Int_meta
+module Samples = Dcstats.Samples
 
 type hop_agg = {
   label : string;
-  sojourn : Dcstats.Samples.t;
+  order : int;  (* first-seen rank: rows come out in path order *)
+  sojourn : Samples.t;
+  mutable sum_ns : int;
   mutable max_qbytes : int;
   mutable svc_sum_bps : float;
-  mutable samples : int;
 }
 
 type t = {
   per_hop : (int * int, hop_agg) Hashtbl.t; (* by (hop_id, port) *)
-  mutable path_sojourn : Dcstats.Samples.t;
+  mutable path_sojourn : Samples.t;
   mutable packets : int;
   mutable hops : int;
   mutable exceeded : int;
@@ -21,7 +23,7 @@ type t = {
 let create () =
   {
     per_hop = Hashtbl.create 16;
-    path_sojourn = Dcstats.Samples.create ();
+    path_sojourn = Samples.create ();
     packets = 0;
     hops = 0;
     exceeded = 0;
@@ -30,7 +32,7 @@ let create () =
 
 let reset t =
   Hashtbl.reset t.per_hop;
-  t.path_sojourn <- Dcstats.Samples.create ();
+  t.path_sojourn <- Samples.create ();
   t.packets <- 0;
   t.hops <- 0;
   t.exceeded <- 0;
@@ -47,10 +49,11 @@ let agg_for t (h : Int_meta.hop) =
     let a =
       {
         label = Int_meta.hop_label h;
-        sojourn = Dcstats.Samples.create ();
+        order = Hashtbl.length t.per_hop;
+        sojourn = Samples.create ();
+        sum_ns = 0;
         max_qbytes = 0;
         svc_sum_bps = 0.0;
-        samples = 0;
       }
     in
     Hashtbl.add t.per_hop key a;
@@ -66,10 +69,10 @@ let absorb t ~now ~flow ~hops ~exceeded =
     let sojourn = Int_meta.sojourn_ns h in
     path := !path + sojourn;
     let agg = agg_for t h in
-    Dcstats.Samples.add agg.sojourn (float_of_int sojourn);
+    Samples.add agg.sojourn (float_of_int sojourn);
+    agg.sum_ns <- agg.sum_ns + sojourn;
     if h.qbytes > agg.max_qbytes then agg.max_qbytes <- h.qbytes;
     agg.svc_sum_bps <- agg.svc_sum_bps +. float_of_int h.svc_bps;
-    agg.samples <- agg.samples + 1;
     match t.watched with
     | Some (ts, f) when Flow_key.equal f flow || Flow_key.equal (Flow_key.reverse f) flow ->
       let ch name = Timeseries.channel ts (Printf.sprintf "int.flow0.%s.%s" agg.label name) in
@@ -77,15 +80,90 @@ let absorb t ~now ~flow ~hops ~exceeded =
       Timeseries.record (ch "qbytes") ~now (float_of_int h.qbytes)
     | Some _ | None -> ()
   done;
-  if Array.length hops > 0 then Dcstats.Samples.add t.path_sojourn (float_of_int !path)
+  if Array.length hops > 0 then Samples.add t.path_sojourn (float_of_int !path)
 
-let touched t = t.packets > 0
+(* The strip point emits a stack's [int_hop]s in path order right before
+   its [int_strip], with nothing in between. *)
+let replay select events =
+  let pending = ref [] in
+  List.iter
+    (fun (now, ev) ->
+      match ev with
+      | Trace.Int_hop { hop; port; ingress; egress; qbytes; svc_bps; _ } ->
+        let hop_id = Int_meta.register ~name:hop in
+        pending :=
+          { Int_meta.hop_id; port; ingress_ns = ingress; egress_ns = egress; qbytes; svc_bps }
+          :: !pending
+      | Trace.Int_strip { flow; exceeded; _ } ->
+        let hops = Array.of_list (List.rev !pending) in
+        pending := [];
+        Option.iter (fun t -> absorb t ~now ~flow ~hops ~exceeded) (select flow)
+      | _ -> ())
+    events
 
 let packets t = t.packets
 
+let exceeded t = t.exceeded
+
+let mean_svc_gbps agg = agg.svc_sum_bps /. float_of_int (Samples.count agg.sojourn) /. 1e9
+
+type row = {
+  label : string;
+  node : string;
+  port : int;
+  samples : int;
+  sum_ns : int;
+  p50_ns : float;
+  p99_ns : float;
+  max_ns : int;
+  share : float;
+  max_qbytes : int;
+  mean_svc_gbps : float;
+}
+
+let rows t =
+  let aggs =
+    Hashtbl.fold (fun key agg acc -> (key, agg) :: acc) t.per_hop []
+    |> List.sort (fun (_, (a : hop_agg)) (_, b) -> Int.compare a.order b.order)
+  in
+  let total = List.fold_left (fun acc (_, (agg : hop_agg)) -> acc + agg.sum_ns) 0 aggs in
+  List.map
+    (fun ((hop_id, port), (agg : hop_agg)) ->
+      {
+        label = agg.label;
+        node = Int_meta.name hop_id;
+        port;
+        samples = Samples.count agg.sojourn;
+        sum_ns = agg.sum_ns;
+        p50_ns = Samples.percentile agg.sojourn 50.0;
+        p99_ns = Samples.percentile agg.sojourn 99.0;
+        max_ns = int_of_float (Samples.max agg.sojourn);
+        share = (if total = 0 then 0.0 else float_of_int agg.sum_ns /. float_of_int total);
+        max_qbytes = agg.max_qbytes;
+        mean_svc_gbps = mean_svc_gbps agg;
+      })
+    aggs
+
+let pp_rows ppf rows =
+  let us ns = ns /. 1000.0 in
+  Format.fprintf ppf "  %-16s %8s %10s %10s %10s %7s %9s %9s@." "hop (path order)" "pkts"
+    "p50 us" "p99 us" "max us" "share" "max q B" "svc Gbps";
+  List.iter
+    (fun r ->
+      Format.fprintf ppf "  %-16s %8d %10.3f %10.3f %10.3f %6.1f%% %9d %9.2f@." r.label r.samples
+        (us r.p50_ns) (us r.p99_ns)
+        (us (float_of_int r.max_ns))
+        (100.0 *. r.share) r.max_qbytes r.mean_svc_gbps)
+    rows;
+  match List.stable_sort (fun a b -> Float.compare b.share a.share) rows with
+  | worst :: _ :: _ when worst.share > 0.0 ->
+    Format.fprintf ppf "  bottleneck %s (%.1f%% of stamped sojourn, p99 %.3f us)@." worst.label
+      (100.0 *. worst.share) (us worst.p99_ns)
+  | _ -> ()
+
 let to_json t =
   let hops =
-    Hashtbl.fold (fun _ agg acc -> (agg.label, agg) :: acc) t.per_hop []
+    Hashtbl.fold (fun _ (agg : hop_agg) acc -> (agg.label, agg) :: acc) t.per_hop []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map (fun (label, agg) ->
            ( label,
@@ -93,10 +171,7 @@ let to_json t =
                [
                  ("sojourn_ns", Report.summary agg.sojourn);
                  ("max_qbytes", Json.Int agg.max_qbytes);
-                 ( "mean_svc_gbps",
-                   Json.Float
-                     (if agg.samples = 0 then 0.0
-                      else agg.svc_sum_bps /. float_of_int agg.samples /. 1e9) );
+                 ("mean_svc_gbps", Json.Float (mean_svc_gbps agg));
                ] ))
   in
   Json.Obj

@@ -1,11 +1,16 @@
-(** Collector for stripped in-band telemetry (INT) stacks.
+(** The one fold of stripped in-band telemetry (INT) stacks into per-hop
+    statistics.
 
     The receiving vSwitch hands every stripped stack to a sink (the
     ambient one lives in {!Runtime}); the sink aggregates per-hop
     sojourn/queue statistics for the report's [int] section and can
     mirror one watched flow's per-hop samples into {!Timeseries}
     channels.  Trace events for the hops are emitted by the host, not
-    here — the sink is pure aggregation, safe to keep ambient. *)
+    here — the sink is pure aggregation, safe to keep ambient.
+
+    Besides {!Attrib}'s per-flow split of in-flight time, it is the only
+    per-hop fold: [ext-int-hops] feeds a private sink from
+    [Acdc.Int_feedback], and [trace_query] rebuilds sinks with {!replay}. *)
 
 type t
 
@@ -28,11 +33,43 @@ val absorb :
   unit
 (** Fold one stripped stack (path order) into the aggregates. *)
 
-val touched : t -> bool
-(** Whether any stack was absorbed since creation/[reset] — gates the
-    optional report section, like [Prof.touched]. *)
+val replay :
+  (Dcpkt.Flow_key.t -> t option) -> (Eventsim.Time_ns.t * Trace.event) list -> unit
+(** [replay select events] folds a trace's stacks as the strip point
+    does: each [int_strip] absorbs the [int_hop]s just before it into
+    the sink [select] picks for its flow ([None] skips it).  Hop names go through {!Dcpkt.Int_meta.register}, so labels
+    match the run's in a fresh process, and a run's unfiltered trace
+    replays into a fresh sink with the ambient sink's {!to_json}. *)
 
 val packets : t -> int
+(** Stacks absorbed since creation/[reset]; zero omits the report's
+    optional [int] section. *)
+
+val exceeded : t -> int
+(** Stacks some switch could not stamp for lack of option space. *)
+
+type row = {
+  label : string;  (** ["<switch>:<port>"], {!Dcpkt.Int_meta.hop_label} *)
+  node : string;  (** the switch's registered name *)
+  port : int;
+  samples : int;  (** hops absorbed at this port *)
+  sum_ns : int;  (** their summed sojourn *)
+  p50_ns : float;
+  p99_ns : float;
+  max_ns : int;
+  share : float;  (** [sum_ns] over the summed sojourn of every row *)
+  max_qbytes : int;
+  mean_svc_gbps : float;
+}
+
+val rows : t -> row list
+(** One row per switch port, in the order the ports were first seen —
+    path order for a single flow's stacks. *)
+
+val pp_rows : Format.formatter -> row list -> unit
+(** The hop table: a header, one line per row in the given order, then,
+    with two or more rows, a bottleneck line naming the row with the
+    largest share. *)
 
 val to_json : t -> Json.t
 (** The report [int] section: strip/hop/exceeded totals, whole-path

@@ -1,3 +1,13 @@
+let check_output ~flag kind path =
+  let error why = Error (Printf.sprintf "%s %s: %s" flag path why) in
+  let dir = Filename.dirname path in
+  if Sys.file_exists path then
+    if Sys.is_directory path = (kind = `Dir) then Ok ()
+    else error (if kind = `Dir then "is not a directory" else "is a directory")
+  else if not (Sys.file_exists dir) then error ("no directory " ^ dir)
+  else if not (Sys.is_directory dir) then error (dir ^ " is not a directory")
+  else Ok ()
+
 let the_metrics = Metrics.create ()
 
 let the_tracer = ref Trace.null

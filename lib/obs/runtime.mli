@@ -15,6 +15,13 @@
     The ambient tracer defaults to {!Trace.null}: tracing is off, and the
     hot paths pay one branch per event. *)
 
+val check_output : flag:string -> [ `File | `Dir ] -> string -> (unit, string) result
+(** Whether a driver can later write [path], given as [flag], as a file
+    or as a directory it makes if missing: an existing path must be of
+    that kind, a missing one must sit in an existing directory.  Touches
+    nothing, so drivers check every output before opening any.  The error
+    names the flag; permissions are not checked. *)
+
 val metrics : unit -> Metrics.t
 (** The process-global registry.  Drivers call {!reset_metrics} between
     runs for per-run snapshots. *)

@@ -37,9 +37,7 @@ let register ~name =
 let name id =
   match Hashtbl.find_opt names id with Some n -> n | None -> Printf.sprintf "hop%d" id
 
-let label ~name ~port = Printf.sprintf "%s:%d" name port
-
-let hop_label h = label ~name:(name h.hop_id) ~port:h.port
+let hop_label h = Printf.sprintf "%s:%d" (name h.hop_id) h.port
 
 let reset () =
   Hashtbl.reset ids;

@@ -47,12 +47,10 @@ val name : int -> string
 (** The registered name for an id, or ["hop<id>"] if unknown (e.g. a hop
     decoded from a foreign capture). *)
 
-val label : name:string -> port:int -> string
-(** ["<name>:<port>"]: how reports, timeseries channels and [trace_query]
-    name one switch port of an INT path. *)
-
 val hop_label : hop -> string
-(** The {!label} of the hop's switch ({!name} of [hop_id]) and port. *)
+(** ["<name>:<port>"] of the hop's switch ({!name} of [hop_id]) and port:
+    how reports, timeseries channels and [trace_query] name one switch
+    port of an INT path. *)
 
 val reset : unit -> unit
 (** Forget all registrations and re-enable from a clean slate (test

@@ -678,6 +678,48 @@ let test_int_trace_deterministic () =
      scan 0);
   check_bool "byte-identical across runs" true (String.equal a b)
 
+(* The report's int section can be rebuilt from the trace alone:
+   replaying the parsed int_hop/int_strip lines into a fresh sink gives
+   the ambient sink's JSON, and losing one hop line shows. *)
+let test_int_replay_matches_sink () =
+  with_int @@ fun () ->
+  let lines = ref [] in
+  Obs.Runtime.set_tracer (Obs.Trace.jsonl ~write:(fun line -> lines := line :: !lines));
+  Fun.protect ~finally:(fun () -> Obs.Runtime.set_tracer Obs.Trace.null) @@ fun () ->
+  let scheme = Experiments.Harness.acdc () in
+  let net = Experiments.Harness.dumbbell scheme ~pairs:2 () in
+  let conns = Experiments.Harness.long_lived_pairs net scheme ~pairs:2 in
+  ignore
+    (Experiments.Harness.measure_goodput net conns ~warmup:(Time_ns.ms 1)
+       ~duration:(Time_ns.ms 4));
+  Topology.shutdown net;
+  let events =
+    List.rev_map
+      (fun line ->
+        match Result.bind (Obs.Json.of_string line) Obs.Trace.event_of_json with
+        | Ok ev -> ev
+        | Error e -> Alcotest.failf "unparsable trace line %s: %s" line e)
+      !lines
+  in
+  let replay events =
+    let sink = Obs.Int_sink.create () in
+    Obs.Int_sink.replay (fun _ -> Some sink) events;
+    sink
+  in
+  let json sink = Obs.Json.to_string (Obs.Int_sink.to_json sink) in
+  let ambient = Obs.Runtime.int_sink () and replayed = replay events in
+  check_bool "stacks were stripped" true (Obs.Int_sink.packets ambient > 100);
+  Alcotest.(check string) "replayed trace = ambient sink" (json ambient) (json replayed);
+  check_bool "same rows in the same path order" true
+    (Obs.Int_sink.rows ambient = Obs.Int_sink.rows replayed);
+  let rec drop_one_hop = function
+    | [] -> []
+    | (_, Obs.Trace.Int_hop _) :: rest -> rest
+    | ev :: rest -> ev :: drop_one_hop rest
+  in
+  check_bool "one lost int_hop changes the replay" true
+    (json ambient <> json (replay (drop_one_hop events)))
+
 let () =
   Alcotest.run "integration"
     [
@@ -713,6 +755,7 @@ let () =
             test_int_attribution_matches_txq;
           Alcotest.test_case "int option space exceeded" `Quick test_int_option_space_exceeded;
           Alcotest.test_case "int trace deterministic" `Quick test_int_trace_deterministic;
+          Alcotest.test_case "int replay matches sink" `Quick test_int_replay_matches_sink;
         ] );
       ( "topologies",
         [

@@ -540,6 +540,97 @@ let test_json_non_finite () =
     check_string "and re-prints as null" "[null]" (Json.to_string (Json.List [ Json.Float f ]))
   | _ -> Alcotest.fail "expected a one-float list"
 
+(* ------------------------------------------------------------------ *)
+(* INT sink rows and the hop table                                     *)
+
+(* Two stacks over the same two ports, listed in path order opposite to
+   label order: rows follow the path, the report section the labels. *)
+let test_int_sink_rows () =
+  let module Int_meta = Dcpkt.Int_meta in
+  let zeta = Int_meta.register ~name:"zeta" and alpha = Int_meta.register ~name:"alpha" in
+  let hop id port ~sojourn ~qbytes ~gbps =
+    { Int_meta.hop_id = id; port; ingress_ns = 1_000; egress_ns = 1_000 + sojourn; qbytes;
+      svc_bps = gbps * 1_000_000_000 }
+  in
+  let sink = Obs.Int_sink.create () in
+  let flow = Dcpkt.Flow_key.make ~src_ip:1 ~src_port:2 ~dst_ip:3 ~dst_port:4 in
+  let absorb hops ~exceeded = Obs.Int_sink.absorb sink ~now:0 ~flow ~hops ~exceeded in
+  absorb ~exceeded:false
+    [|
+      hop zeta 3 ~sojourn:1_000 ~qbytes:9_000 ~gbps:10;
+      hop alpha 1 ~sojourn:3_000 ~qbytes:100 ~gbps:20;
+    |];
+  absorb ~exceeded:false
+    [|
+      hop zeta 3 ~sojourn:2_000 ~qbytes:4_500 ~gbps:30;
+      hop alpha 1 ~sojourn:6_000 ~qbytes:200 ~gbps:40;
+    |];
+  absorb ~exceeded:true [||];
+  check_int "stacks" 3 (Obs.Int_sink.packets sink);
+  check_int "exceeded" 1 (Obs.Int_sink.exceeded sink);
+  let rows = Obs.Int_sink.rows sink in
+  Alcotest.(check (list string)) "first-seen order" [ "zeta:3"; "alpha:1" ]
+    (List.map (fun (r : Obs.Int_sink.row) -> r.label) rows);
+  (match rows with
+  | [ z; a ] ->
+    check_string "node" "zeta" z.node;
+    check_int "port" 3 z.port;
+    check_int "counts" 2 z.samples;
+    check_int "zeta sum" 3_000 z.sum_ns;
+    check_int "alpha sum" 9_000 a.sum_ns;
+    check_int "zeta max" 2_000 z.max_ns;
+    check_int "zeta max queue" 9_000 z.max_qbytes;
+    check_int "alpha max queue" 200 a.max_qbytes;
+    Alcotest.(check (float 1e-9)) "zeta mean service rate" 20.0 z.mean_svc_gbps;
+    Alcotest.(check (float 1e-9)) "alpha mean service rate" 30.0 a.mean_svc_gbps;
+    Alcotest.(check (float 1e-9)) "share of the summed sojourn" 0.75 a.share
+  | _ -> Alcotest.fail "expected two rows");
+  (match Json.member "per_hop" (Obs.Int_sink.to_json sink) with
+  | Some (Json.Obj hops) ->
+    Alcotest.(check (list string)) "report keeps label order" [ "alpha:1"; "zeta:3" ]
+      (List.map fst hops)
+  | _ -> Alcotest.fail "no per_hop object");
+  check_string "hop table"
+    "  hop (path order)     pkts     p50 us     p99 us     max us   share   max q B  svc Gbps\n\
+    \  zeta:3                  2      1.500      1.990      2.000   25.0%      9000     20.00\n\
+    \  alpha:1                 2      4.500      5.970      6.000   75.0%       200     30.00\n\
+    \  bottleneck alpha:1 (75.0% of stamped sojourn, p99 5.970 us)\n"
+    (Format.asprintf "%a" Obs.Int_sink.pp_rows rows)
+
+(* ------------------------------------------------------------------ *)
+(* Output paths                                                        *)
+
+let test_check_output () =
+  let dir = Filename.temp_dir "check_output" "" in
+  let file = Filename.concat dir "r.json" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "{}");
+  let before = Sys.readdir dir in
+  let rejects what flag kind path =
+    match Obs.Runtime.check_output ~flag kind path with
+    | Ok () -> Alcotest.failf "%s: %s accepted" what path
+    | Error msg ->
+      Alcotest.(check bool) (what ^ ": the error names the flag") true
+        (String.starts_with ~prefix:(flag ^ " ") msg)
+  in
+  rejects "missing directory" "--report" `File (Filename.concat dir "nope/r.json");
+  rejects "missing parent directory" "--timeseries" `Dir (Filename.concat dir "nope/ts");
+  rejects "directory where a file is expected" "--trace" `File dir;
+  rejects "file where a directory is expected" "--timeseries" `Dir file;
+  rejects "file as the parent directory" "--pcap" `File (Filename.concat file "p.pcap");
+  let accepts what kind path =
+    match Obs.Runtime.check_output ~flag:"--out" kind path with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
+  accepts "existing file" `File file;
+  accepts "new file" `File (Filename.concat dir "new.json");
+  accepts "existing directory" `Dir dir;
+  accepts "new directory" `Dir (Filename.concat dir "ts");
+  Alcotest.(check (array string)) "nothing created" before (Sys.readdir dir);
+  check_string "existing file untouched" "{}" (In_channel.with_open_bin file In_channel.input_all);
+  Sys.remove file;
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "obs"
     [
@@ -576,4 +667,6 @@ let () =
           Alcotest.test_case "ints print as string_of_int" `Quick test_json_int_digits;
           Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
         ] );
+      ("int sink", [ Alcotest.test_case "rows and hop table" `Quick test_int_sink_rows ]);
+      ("runtime", [ Alcotest.test_case "check_output" `Quick test_check_output ]);
     ]
