@@ -1,6 +1,8 @@
 (* Offline provenance queries: answer "what happened to this packet /
    this flow?" from a run's JSONL trace, and validate that a pcap capture,
-   a trace and a report all describe the same run. *)
+   a trace and a report all describe the same run.  Each subcommand reads
+   its trace in one pass ([validate] its capture in one more) and keeps
+   only the state its output needs. *)
 
 module Json = Obs.Json
 module Trace = Obs.Trace
@@ -14,24 +16,12 @@ exception Fail of string
 
 let failf fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
 
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> failf "%s" msg
+let iter_trace path f =
+  match Trace.fold_file path ~init:() (fun () now ev -> f now ev) with
+  | Ok () -> ()
+  | Error e -> failf "%s" e
 
-let load_trace path =
-  let events = ref [] in
-  let lineno = ref 0 in
-  String.split_on_char '\n' (read_file path)
-  |> List.iter (fun line ->
-         incr lineno;
-         if String.trim line <> "" then
-           match Json.of_string line with
-           | Error e -> failf "%s:%d: %s" path !lineno e
-           | Ok json -> (
-             match Trace.event_of_json json with
-             | Error e -> failf "%s:%d: %s" path !lineno e
-             | Ok ev -> events := ev :: !events));
-  List.rev !events
+let parse_flow spec = match Trace.flow_of_spec spec with Ok f -> f | Error e -> failf "%s" e
 
 let us ns = float_of_int ns /. 1000.0
 
@@ -63,92 +53,84 @@ let describe_terminal = function
 
 let print_timeline evs =
   Format.printf "  %12s %12s  %s@." "t (us)" "+hop (us)" "event";
-  ignore
-    (List.fold_left
-       (fun prev (now, ev) ->
-         (match prev with
-         | None -> Format.printf "  %12.3f %12s  %a@." (us now) "" Trace.pp_event ev
-         | Some p ->
-           Format.printf "  %12.3f %12.3f  %a@." (us now) (us (now - p)) Trace.pp_event ev);
-         Some now)
-       None evs)
+  let prev = ref None in
+  List.iter
+    (fun (now, ev) ->
+      let hop = match !prev with Some p -> Printf.sprintf "%.3f" (us (now - p)) | None -> "" in
+      Format.printf "  %12.3f %12s  %a@." (us now) hop Trace.pp_event ev;
+      prev := Some now)
+    evs
 
-let explain_pkt events n =
-  let evs = List.filter (fun (_, ev) -> Trace.pkt_of_event ev = Some n) events in
-  if evs = [] then failf "no events for packet %d in this trace" n;
-  (* Provenance header: how the packet came to exist. *)
-  (match
-     List.find_opt (function _, Trace.Created { pkt; _ } -> pkt = n | _ -> false) events
-   with
+let explain_pkt path n =
+  (* The packet's events, newest first, and how it came to exist: its
+     first Created event, or else the impairment that duplicated it. *)
+  let rev = ref [] and origin = ref None in
+  iter_trace path (fun now ev ->
+      if Trace.pkt_of_event ev = Some n then rev := (now, ev) :: !rev;
+      match (ev, !origin) with
+      | Trace.Created { pkt; _ }, (None | Some (_, Trace.Impaired _)) when pkt = n ->
+        origin := Some (now, ev)
+      | Trace.Impaired { action = Trace.Imp_duplicated { copy }; _ }, None when copy = n ->
+        origin := Some (now, ev)
+      | _ -> ());
+  if !rev = [] then failf "no events for packet %d in this trace" n;
+  (match !origin with
   | Some (t, Trace.Created { node; flow; size; kind; _ }) ->
     Format.printf "packet %d: %s, %d bytes on wire, flow %a, created at %s (t=%.3f us)@." n
       kind size Flow_key.pp flow node (us t)
-  | _ -> (
-    match
-      List.find_opt
-        (function
-          | _, Trace.Impaired { action = Trace.Imp_duplicated { copy }; _ } -> copy = n
-          | _ -> false)
-        events
-    with
-    | Some (t, Trace.Impaired { link; pkt; _ }) ->
-      Format.printf "packet %d: duplicate of packet %d, made by %s (t=%.3f us)@." n pkt link
-        (us t)
-    | _ -> Format.printf "packet %d: (no creation event in this trace)@." n));
+  | Some (t, Trace.Impaired { link; pkt; _ }) ->
+    Format.printf "packet %d: duplicate of packet %d, made by %s (t=%.3f us)@." n pkt link
+      (us t)
+  | _ -> Format.printf "packet %d: (no creation event in this trace)@." n);
+  let evs = List.rev !rev in
   print_timeline evs;
   let first, _ = List.hd evs in
-  let last_t, last_ev = List.nth evs (List.length evs - 1) in
-  let terminal = List.filter (fun (_, ev) -> is_terminal ev) evs in
-  (match List.rev terminal with
-  | (t, ev) :: _ ->
+  match List.find_opt (fun (_, ev) -> is_terminal ev) !rev with
+  | Some (t, ev) ->
     Format.printf "lifecycle: %s after %.3f us (%d events)@." (describe_terminal ev)
       (us (t - first)) (List.length evs)
-  | [] ->
+  | None ->
+    let last_t, last_ev = List.hd !rev in
     Format.printf "lifecycle: in flight when the trace ended (last seen %a at t=%.3f us)@."
-      Trace.pp_event last_ev (us last_t))
+      Trace.pp_event last_ev (us last_t)
 
-let explain_flow events spec =
-  let flow =
-    match Trace.flow_of_spec spec with Ok f -> f | Error e -> failf "%s" e
-  in
+let explain_flow path spec =
+  let flow = parse_flow spec in
   let keep = Trace.flow_selector ~flows:[ flow ] in
-  let evs = List.filter (fun (now, ev) -> keep now ev) events in
+  let evs = ref [] in
+  iter_trace path (fun now ev -> if keep now ev then evs := (now, ev) :: !evs);
+  let evs = List.rev !evs in
   if evs = [] then failf "no events for flow %s in this trace" spec;
   Format.printf "flow %a: %d events@." Flow_key.pp flow (List.length evs);
   print_timeline evs;
-  let count p = List.length (List.filter (fun (_, ev) -> p ev) evs) in
+  let count kind = List.length (List.filter (fun (_, ev) -> Trace.kind_of_event ev = kind) evs) in
   Format.printf
     "summary: %d packets created, %d delivered, %d rwnd rewrites, %d alpha updates, %d \
      policer drops, %d rto inferences@."
-    (count (function Trace.Created _ -> true | _ -> false))
-    (count (function Trace.Delivered _ -> true | _ -> false))
-    (count (function Trace.Rwnd_rewrite _ -> true | _ -> false))
-    (count (function Trace.Alpha_update _ -> true | _ -> false))
-    (count (function Trace.Policer_drop _ -> true | _ -> false))
-    (count (function Trace.Rto_fire _ -> true | _ -> false))
+    (count "created") (count "delivered") (count "rwnd_rewrite") (count "alpha_update")
+    (count "policer_drop") (count "rto")
 
-let summary events =
-  (match (events, List.rev events) with
-  | (t0, _) :: _, (t1, _) :: _ ->
-    Format.printf "%d events spanning %.3f us (t=%.3f..%.3f us)@." (List.length events)
-      (us (t1 - t0)) (us t0) (us t1)
-  | _ -> Format.printf "empty trace@.");
+let summary path =
+  let events = ref 0 and t0 = ref 0 and t1 = ref 0 in
   let kinds = Hashtbl.create 16 in
   let impairs = Hashtbl.create 8 in
   let pkts = Hashtbl.create 1024 in
   let flows = Hashtbl.create 64 in
-  List.iter
-    (fun (_, ev) ->
-      let k = Trace.kind_of_event ev in
-      Hashtbl.replace kinds k (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k));
+  let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  iter_trace path (fun now ev ->
+      if !events = 0 then t0 := now;
+      incr events;
+      t1 := now;
+      bump kinds (Trace.kind_of_event ev);
       (match ev with
-      | Trace.Impaired { action; _ } ->
-        let a = Trace.action_label action in
-        Hashtbl.replace impairs a (1 + Option.value ~default:0 (Hashtbl.find_opt impairs a))
+      | Trace.Impaired { action; _ } -> bump impairs (Trace.action_label action)
       | _ -> ());
       Option.iter (fun p -> Hashtbl.replace pkts p ()) (Trace.pkt_of_event ev);
-      Option.iter (fun f -> Hashtbl.replace flows f ()) (Trace.flow_of_event ev))
-    events;
+      Option.iter (fun f -> Hashtbl.replace flows f ()) (Trace.flow_of_event ev));
+  if !events > 0 then
+    Format.printf "%d events spanning %.3f us (t=%.3f..%.3f us)@." !events (us (!t1 - !t0))
+      (us !t0) (us !t1)
+  else Format.printf "empty trace@.";
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (k, v) ->
@@ -165,17 +147,42 @@ let summary events =
 (* ------------------------------------------------------------------ *)
 (* int: break a flow's latency down hop-by-hop from its INT samples.   *)
 
-let int_view events spec =
-  let flow = match Trace.flow_of_spec spec with Ok f -> f | Error e -> failf "%s" e in
+let int_view trace spec =
+  let flow = parse_flow spec in
   let fwd k = Flow_key.equal k flow in
   (* The ACKs of a flow carry their own stamps under the reversed
      4-tuple, so fold the two directions into separate sinks. *)
   let data = Int_sink.create () and ack = Int_sink.create () in
-  Int_sink.replay
-    (fun f ->
-      if fwd f then Some data else if Flow_key.equal f (Flow_key.reverse flow) then Some ack
-      else None)
-    events;
+  let replay =
+    Int_sink.replay (fun f ->
+        if fwd f then Some data else if Flow_key.equal f (Flow_key.reverse flow) then Some ack
+        else None)
+  in
+  (* End-to-end attribution: creation -> delivery against the summed hop
+     sojourns of the same packets.  A packet's stamps are stripped just
+     before its delivery, so their sum is complete when it is delivered,
+     and both entries go then. *)
+  let created = Hashtbl.create 1024 in (* data pkt id -> creation time *)
+  let pkt_sojourn = Hashtbl.create 1024 in (* data pkt id -> summed hop sojourn *)
+  let e2e = Samples.create () and path = Samples.create () in
+  let sum_e2e = ref 0 and sum_path = ref 0 in
+  iter_trace trace (fun now ev ->
+      replay now ev;
+      match ev with
+      | Trace.Created { flow = f; pkt; _ } when fwd f -> Hashtbl.replace created pkt now
+      | Trace.Int_hop { flow = f; pkt; ingress; egress; _ } when fwd f ->
+        Hashtbl.replace pkt_sojourn pkt
+          (egress - ingress + Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt))
+      | Trace.Delivered { pkt; _ } when Hashtbl.mem created pkt ->
+        let latency = now - Hashtbl.find created pkt in
+        let s = Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt) in
+        Hashtbl.remove created pkt;
+        Hashtbl.remove pkt_sojourn pkt;
+        Samples.add e2e (float_of_int latency);
+        Samples.add path (float_of_int s);
+        sum_e2e := !sum_e2e + latency;
+        sum_path := !sum_path + s
+      | _ -> ());
   let data_rows = Int_sink.rows data and ack_rows = Int_sink.rows ack in
   let samples rows = List.fold_left (fun acc (r : Int_sink.row) -> acc + r.samples) 0 rows in
   let hop_samples = samples data_rows + samples ack_rows in
@@ -193,29 +200,6 @@ let int_view events spec =
         Int_sink.pp_rows Format.std_formatter rows
       end)
     [ ("data path", data_rows); ("ack path", ack_rows) ];
-  (* End-to-end attribution: creation -> delivery against the summed hop
-     sojourns of the same packets.  A packet's stamps are stripped just
-     before its delivery, so their sum is complete when it is delivered. *)
-  let created = Hashtbl.create 1024 in (* data pkt id -> creation time *)
-  let pkt_sojourn = Hashtbl.create 1024 in (* data pkt id -> summed hop sojourn *)
-  let e2e = Samples.create () and path = Samples.create () in
-  let sum_e2e = ref 0 and sum_path = ref 0 in
-  List.iter
-    (fun (now, ev) ->
-      match ev with
-      | Trace.Created { flow = f; pkt; _ } when fwd f -> Hashtbl.replace created pkt now
-      | Trace.Int_hop { flow = f; pkt; ingress; egress; _ } when fwd f ->
-        Hashtbl.replace pkt_sojourn pkt
-          (egress - ingress + Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt))
-      | Trace.Delivered { pkt; _ } when Hashtbl.mem created pkt ->
-        let latency = now - Hashtbl.find created pkt in
-        let s = Option.value ~default:0 (Hashtbl.find_opt pkt_sojourn pkt) in
-        Samples.add e2e (float_of_int latency);
-        Samples.add path (float_of_int s);
-        sum_e2e := !sum_e2e + latency;
-        sum_path := !sum_path + s
-      | _ -> ())
-    events;
   if Samples.count e2e > 0 then begin
     Format.printf
       "end-to-end (created -> delivered, %d packets): mean %.3f us, p99 %.3f us@."
@@ -237,18 +221,19 @@ let int_view events spec =
 (* ------------------------------------------------------------------ *)
 (* why: a flow's causal stall timeline from its attribution events.    *)
 
-let why_view events spec =
-  let flow = match Trace.flow_of_spec spec with Ok f -> f | Error e -> failf "%s" e in
-  let transitions =
-    List.filter_map
-      (fun (now, ev) ->
-        match ev with
-        | Trace.Attrib_transition { flow = f; from_state; to_state; spent }
-          when Flow_key.equal f flow ->
-          Some (now, from_state, to_state, spent)
-        | _ -> None)
-      events
-  in
+let why_view trace spec =
+  let flow = parse_flow spec in
+  let sink = Int_sink.create () in
+  let replay = Int_sink.replay (fun f -> if Flow_key.equal f flow then Some sink else None) in
+  let transitions = ref [] in
+  iter_trace trace (fun now ev ->
+      replay now ev;
+      match ev with
+      | Trace.Attrib_transition { flow = f; from_state; to_state; spent }
+        when Flow_key.equal f flow ->
+        transitions := (now, from_state, to_state, spent) :: !transitions
+      | _ -> ());
+  let transitions = List.rev !transitions in
   if transitions = [] then
     failf
       "no attribution events for flow %s in this trace (was the run started with --attrib?)"
@@ -290,8 +275,6 @@ let why_view events spec =
            (us ns));
   (* Split "in_flight" further when the trace carries INT stamps: which
      switch port the waiting actually happened at. *)
-  let sink = Int_sink.create () in
-  Int_sink.replay (fun f -> if Flow_key.equal f flow then Some sink else None) events;
   match Int_sink.rows sink with
   | [] ->
     Format.printf
@@ -310,94 +293,94 @@ let check name ok detail =
   Format.printf "  %-38s %s@." name (if ok then "ok" else "FAIL — " ^ detail);
   ok
 
+(* Each check below is a pair: a feed, called on every event of
+   [validate]'s one pass over the trace, and a verdict that prints its
+   check lines afterwards. *)
+
 (* Every packet-keyed event must belong to a packet whose origin the
    trace records (a Created event, or birth as an impairment duplicate),
-   and nothing may happen to a packet after its terminal event. *)
-let check_lifecycles events =
-  let by_pkt = Hashtbl.create 4096 in
-  List.iter
-    (fun (now, ev) ->
-      match Trace.pkt_of_event ev with
-      | None -> ()
-      | Some p ->
-        Hashtbl.replace by_pkt p
-          ((now, ev) :: Option.value ~default:[] (Hashtbl.find_opt by_pkt p)))
-    events;
-  let origins = Hashtbl.create 4096 in
-  List.iter
-    (fun (_, ev) ->
-      match ev with
-      | Trace.Created { pkt; _ } -> Hashtbl.replace origins pkt ()
-      | Trace.Impaired { action = Trace.Imp_duplicated { copy }; _ } ->
-        Hashtbl.replace origins copy ()
-      | _ -> ())
-    events;
-  let orphans = ref [] and zombies = ref [] and complete = ref 0 in
-  Hashtbl.iter
-    (fun p evs ->
-      let evs = List.rev evs in
-      if not (Hashtbl.mem origins p) then orphans := p :: !orphans;
-      let rec scan seen_terminal = function
-        | [] -> ()
-        | (_, ev) :: rest ->
-          if seen_terminal && not (is_terminal ev) then zombies := p :: !zombies
-          else scan (seen_terminal || is_terminal ev) rest
-      in
-      scan false evs;
-      if List.exists (fun (_, ev) -> is_terminal ev) evs then incr complete)
-    by_pkt;
-  let sample l = String.concat ", " (List.map string_of_int (List.filteri (fun i _ -> i < 5) l)) in
-  let ok1 =
-    check "every packet has a recorded origin" (!orphans = [])
-      (Printf.sprintf "%d packet(s) with events but no origin (e.g. %s)" (List.length !orphans)
-         (sample !orphans))
+   and nothing may happen to a packet after its terminal event.  Each
+   packet keeps four bits. *)
+let lifecycles () =
+  let traced = 1 and origin = 2 and ended = 4 and zombie = 8 in
+  let lives = Hashtbl.create 4096 in
+  let bits p = Option.value ~default:0 (Hashtbl.find_opt lives p) in
+  let feed ev =
+    (match ev with
+    | Trace.Created { pkt; _ } -> Hashtbl.replace lives pkt (bits pkt lor origin)
+    | Trace.Impaired { action = Trace.Imp_duplicated { copy }; _ } ->
+      Hashtbl.replace lives copy (bits copy lor origin)
+    | _ -> ());
+    match Trace.pkt_of_event ev with
+    | None -> ()
+    | Some p ->
+      let b = bits p lor traced in
+      Hashtbl.replace lives p
+        (if is_terminal ev then b lor ended else if b land ended <> 0 then b lor zombie else b)
   in
-  let ok2 =
-    check "no events after a terminal event" (!zombies = [])
-      (Printf.sprintf "%d packet(s) live on after dying (e.g. %s)" (List.length !zombies)
-         (sample !zombies))
-  in
-  Format.printf "  (%d packets traced, %d reached a terminal event, %d in flight at end)@."
-    (Hashtbl.length by_pkt) !complete
-    (Hashtbl.length by_pkt - !complete);
-  ok1 && ok2
-
-let check_pcap_roundtrip frames =
-  let bad = ref 0 and first_err = ref "" in
-  List.iteri
-    (fun i (f : Pcap.frame) ->
-      match Packet.of_wire f.Pcap.data with
-      | Error e ->
-        incr bad;
-        if !first_err = "" then first_err := Printf.sprintf "frame %d: %s" i e
-      | Ok pkt ->
-        if Packet.to_wire pkt <> f.Pcap.data then begin
-          incr bad;
-          if !first_err = "" then
-            first_err := Printf.sprintf "frame %d: re-serialization differs" i
-        end
-        else if f.Pcap.orig_len <> String.length f.Pcap.data + pkt.Packet.payload then begin
-          incr bad;
-          if !first_err = "" then
-            first_err :=
-              Printf.sprintf "frame %d: orig_len %d <> header %d + payload %d" i
-                f.Pcap.orig_len (String.length f.Pcap.data) pkt.Packet.payload
+  let verdict () =
+    let packets = ref 0 and complete = ref 0 and orphans = ref [] and zombies = ref [] in
+    Hashtbl.iter
+      (fun p b ->
+        if b land traced <> 0 then begin
+          incr packets;
+          if b land origin = 0 then orphans := p :: !orphans;
+          if b land zombie <> 0 then zombies := p :: !zombies;
+          if b land ended <> 0 then incr complete
         end)
-    frames;
-  check
-    (Printf.sprintf "all %d frames parse and round-trip" (List.length frames))
-    (!bad = 0)
-    (Printf.sprintf "%d frame(s) failed; %s" !bad !first_err)
-
-(* The capture taps are: every transmit-queue dequeue, both directions of
-   every VM edge, and every frame an impaired link carries forward.  Each
-   tap has an exact witness — Dequeue events, the vswitch egress counter
-   plus Delivered/No_endpoint events, and the impair counters — so for an
-   unfiltered trace the frame count must match to the packet. *)
-let load_report path =
-  let json =
-    match Json.of_string (read_file path) with Ok json -> json | Error e -> failf "%s: %s" path e
+      lives;
+    let sample l =
+      String.concat ", "
+        (List.map string_of_int (List.filteri (fun i _ -> i < 5) (List.sort compare l)))
+    in
+    let ok1 =
+      check "every packet has a recorded origin" (!orphans = [])
+        (Printf.sprintf "%d packet(s) with events but no origin (e.g. %s)"
+           (List.length !orphans) (sample !orphans))
+    in
+    let ok2 =
+      check "no events after a terminal event" (!zombies = [])
+        (Printf.sprintf "%d packet(s) live on after dying (e.g. %s)" (List.length !zombies)
+           (sample !zombies))
+    in
+    Format.printf "  (%d packets traced, %d reached a terminal event, %d in flight at end)@."
+      !packets !complete (!packets - !complete);
+    ok1 && ok2
   in
+  (feed, verdict)
+
+(* One pass over the capture: every frame must parse, re-encode to its
+   own bytes and account for its payload in [orig_len]. *)
+let scan_capture path =
+  let frames = ref 0 and bad = ref 0 and first_err = ref "" in
+  let fail fmt =
+    Printf.ksprintf
+      (fun e ->
+        incr bad;
+        if !first_err = "" then first_err := Printf.sprintf "frame %d: %s" !frames e)
+      fmt
+  in
+  let frame () (f : Pcap.frame) =
+    (match Packet.of_wire f.Pcap.data with
+    | Error e -> fail "%s" e
+    | Ok pkt ->
+      if Packet.to_wire pkt <> f.Pcap.data then fail "re-serialization differs"
+      else if f.Pcap.orig_len <> String.length f.Pcap.data + pkt.Packet.payload then
+        fail "orig_len %d <> header %d + payload %d" f.Pcap.orig_len
+          (String.length f.Pcap.data) pkt.Packet.payload);
+    incr frames
+  in
+  (match Pcap.fold_file path ~init:() frame with Ok () -> () | Error e -> failf "%s" e);
+  let verdict () =
+    check
+      (Printf.sprintf "all %d frames parse and round-trip" !frames)
+      (!bad = 0)
+      (Printf.sprintf "%d frame(s) failed; %s" !bad !first_err)
+  in
+  (!frames, verdict)
+
+let load_report path =
+  let json = match Obs.Report.read_file ~path with Ok json -> json | Error e -> failf "%s" e in
   let section name =
     match Option.bind (Json.member "metrics" json) (Json.member name) with
     | Some (Json.Obj fields) ->
@@ -406,48 +389,58 @@ let load_report path =
   in
   (json, (section "counters", section "gauges"))
 
-let check_counts frames events ~metrics =
-  let count p = List.length (List.filter (fun (_, ev) -> p ev) events) in
-  let dequeues = count (function Trace.Dequeue _ -> true | _ -> false) in
-  let delivered = count (function Trace.Delivered _ -> true | _ -> false) in
-  let no_endpoint =
-    count (function Trace.Drop { reason = Trace.No_endpoint; _ } -> true | _ -> false)
+(* The capture taps are: every transmit-queue dequeue, both directions of
+   every VM edge, and every frame an impaired link carries forward.  Each
+   tap has an exact witness — Dequeue events, the vswitch egress counter
+   plus Delivered/No_endpoint events, and the impair counters — so for an
+   unfiltered trace the frame count must match to the packet. *)
+let tap_counts () =
+  let dequeues = ref 0 and delivered = ref 0 and no_endpoint = ref 0 in
+  let feed = function
+    | Trace.Dequeue _ -> incr dequeues
+    | Trace.Delivered _ -> incr delivered
+    | Trace.Drop { reason = Trace.No_endpoint; _ } -> incr no_endpoint
+    | _ -> ()
   in
-  match metrics with
-  | None ->
-    (* Without the metrics snapshot only the tap inventory from the trace
-       is available; the VM egress tap has no trace witness, so settle for
-       a lower bound. *)
-    check "frame count covers traced taps"
-      (List.length frames >= dequeues + delivered + no_endpoint)
-      (Printf.sprintf "%d frames < %d dequeues + %d delivered + %d no-endpoint"
-         (List.length frames) dequeues delivered no_endpoint)
-  | Some (counters, _) ->
-    let vm_egress = Option.value ~default:0 (List.assoc_opt "vswitch.egress_packets" counters) in
-    let impair_forwarded =
-      (* Link names may themselves contain dots ("impair.host1.up.lost"),
-         so the field is the segment after the last dot. *)
-      List.fold_left
-        (fun acc (k, v) ->
-          if not (String.length k > 7 && String.sub k 0 7 = "impair.") then acc
-          else
-            match String.rindex_opt k '.' with
-            | None -> acc
-            | Some i -> (
-              match String.sub k (i + 1) (String.length k - i - 1) with
-              | "offered" | "duplicated" -> acc + v
-              | "lost" | "corrupted" -> acc - v
-              | _ -> acc))
-        0 counters
-    in
-    let expected = dequeues + delivered + no_endpoint + vm_egress + impair_forwarded in
-    check "frame count matches metrics + trace"
-      (List.length frames = expected)
-      (Printf.sprintf
-         "%d frames <> %d (= %d dequeues + %d delivered + %d no-endpoint + %d vm egress + %d \
-          impair-forwarded)"
-         (List.length frames) expected dequeues delivered no_endpoint vm_egress
-         impair_forwarded)
+  let verdict ~frames ~metrics =
+    let dequeues = !dequeues and delivered = !delivered and no_endpoint = !no_endpoint in
+    match metrics with
+    | None ->
+      (* Without the metrics snapshot only the tap inventory from the trace
+         is available; the VM egress tap has no trace witness, so settle for
+         a lower bound. *)
+      check "frame count covers traced taps"
+        (frames >= dequeues + delivered + no_endpoint)
+        (Printf.sprintf "%d frames < %d dequeues + %d delivered + %d no-endpoint" frames
+           dequeues delivered no_endpoint)
+    | Some (counters, _) ->
+      let vm_egress =
+        Option.value ~default:0 (List.assoc_opt "vswitch.egress_packets" counters)
+      in
+      let impair_forwarded =
+        (* Link names may themselves contain dots ("impair.host1.up.lost"),
+           so the field is the segment after the last dot. *)
+        List.fold_left
+          (fun acc (k, v) ->
+            if not (String.length k > 7 && String.sub k 0 7 = "impair.") then acc
+            else
+              match String.rindex_opt k '.' with
+              | None -> acc
+              | Some i -> (
+                match String.sub k (i + 1) (String.length k - i - 1) with
+                | "offered" | "duplicated" -> acc + v
+                | "lost" | "corrupted" -> acc - v
+                | _ -> acc))
+          0 counters
+      in
+      let expected = dequeues + delivered + no_endpoint + vm_egress + impair_forwarded in
+      check "frame count matches metrics + trace" (frames = expected)
+        (Printf.sprintf
+           "%d frames <> %d (= %d dequeues + %d delivered + %d no-endpoint + %d vm egress + \
+            %d impair-forwarded)"
+           frames expected dequeues delivered no_endpoint vm_egress impair_forwarded)
+  in
+  (feed, verdict)
 
 (* INT stamps must agree with the queue's own story: every Int_hop's
    ingress/egress must coincide with the packet's Enqueue/Dequeue pair at
@@ -455,66 +448,87 @@ let check_counts frames events ~metrics =
    the replayed stamps fold to must fit under the independent
    [txq.<node>.port<i>.sojourn_*] instruments — the cross-check behind
    the per-hop attribution guarantee. *)
-let check_int events rows ~metrics =
-  if rows = [] then true (* nothing stamped; stay quiet *)
-  else begin
-    let enq = Hashtbl.create 4096 and deq = Hashtbl.create 4096 in
-    let hops = ref 0 and bad = ref 0 and first = ref "" in
-    List.iter
-      (fun (now, ev) ->
-        match ev with
-        | Trace.Enqueue { node; port; pkt; _ } -> Hashtbl.replace enq (pkt, node, port) now
-        | Trace.Dequeue { node; port; pkt; _ } -> Hashtbl.replace deq (pkt, node, port) now
-        | Trace.Int_hop { pkt; hop; port; ingress; egress; _ } ->
-          (* A packet's stamps are stripped after it left the hop's queue,
-             so its Enqueue/Dequeue pair is already recorded. *)
-          let key = (pkt, hop, port) in
-          incr hops;
-          if Hashtbl.find_opt enq key <> Some ingress || Hashtbl.find_opt deq key <> Some egress
-          then begin
-            incr bad;
-            if !first = "" then first := Printf.sprintf "pkt %d at %s:%d" pkt hop port
-          end
-        | _ -> ())
-      events;
-    let ok1 =
-      check
-        (Printf.sprintf "INT stamps match enqueue/dequeue (%d hops)" !hops)
-        (!bad = 0)
-        (Printf.sprintf "%d stamp(s) disagree with queue events (e.g. %s)" !bad !first)
-    in
-    let ok2 =
-      match metrics with
-      | None -> true
-      | Some (counters, gauges) ->
-        (* Per (node, port): INT is a per-packet subset of what the txq
-           sojourn instruments saw, so max <= gauge and sum/count <= the
-           counters. *)
-        let metric assoc name = List.assoc_opt name assoc in
-        let bad = ref 0 and first = ref "" in
-        List.iter
-          (fun (r : Int_sink.row) ->
-            let scope = Printf.sprintf "txq.%s.port%d" r.node r.port in
-            let fail fmt = Printf.ksprintf (fun s -> incr bad; if !first = "" then first := s) fmt in
-            match
-              ( metric gauges (scope ^ ".sojourn_ns"),
-                metric counters (scope ^ ".sojourn_total_ns"),
-                metric counters (scope ^ ".sojourn_samples") )
-            with
-            | Some g, Some total, Some samples ->
-              if r.max_ns > g then fail "%s: INT max %d > gauge %d" scope r.max_ns g
-              else if r.sum_ns > total then fail "%s: INT sum %d > total %d" scope r.sum_ns total
-              else if r.samples > samples then
-                fail "%s: %d INT samples > %d recorded" scope r.samples samples
-            | _ -> fail "%s: sojourn instruments missing from report" scope)
-          rows;
+let int_stamps () =
+  (* pkt -> (enqueue?, node, port, t) of its queue events, newest first.
+     A packet's stamps are stripped after it left the hop's queue and
+     before its terminal event, where its entries go. *)
+  let queued = Hashtbl.create 4096 in
+  let hops = ref 0 and bad = ref 0 and first = ref "" in
+  let stamp pkt ~enq node port =
+    List.find_map
+      (fun (e, n, p, t) -> if e = enq && String.equal n node && p = port then Some t else None)
+      (Hashtbl.find_all queued pkt)
+  in
+  let feed now ev =
+    match ev with
+    | Trace.Enqueue { node; port; pkt; _ } -> Hashtbl.add queued pkt (true, node, port, now)
+    | Trace.Dequeue { node; port; pkt; _ } -> Hashtbl.add queued pkt (false, node, port, now)
+    | Trace.Int_hop { pkt; hop; port; ingress; egress; _ } ->
+      incr hops;
+      if stamp pkt ~enq:true hop port <> Some ingress || stamp pkt ~enq:false hop port <> Some egress
+      then begin
+        incr bad;
+        if !first = "" then first := Printf.sprintf "pkt %d at %s:%d" pkt hop port
+      end
+    | ev when is_terminal ev ->
+      Option.iter
+        (fun p ->
+          while Hashtbl.mem queued p do
+            Hashtbl.remove queued p
+          done)
+        (Trace.pkt_of_event ev)
+    | _ -> ()
+  in
+  let verdict rows ~metrics =
+    if rows = [] then true (* nothing stamped; stay quiet *)
+    else begin
+      let ok1 =
         check
-          (Printf.sprintf "INT sojourns fit txq instruments (%d ports)" (List.length rows))
+          (Printf.sprintf "INT stamps match enqueue/dequeue (%d hops)" !hops)
           (!bad = 0)
-          (Printf.sprintf "%d port(s) out of bounds (e.g. %s)" !bad !first)
-    in
-    ok1 && ok2
-  end
+          (Printf.sprintf "%d stamp(s) disagree with queue events (e.g. %s)" !bad !first)
+      in
+      let ok2 =
+        match metrics with
+        | None -> true
+        | Some (counters, gauges) ->
+          (* Per (node, port): INT is a per-packet subset of what the txq
+             sojourn instruments saw, so max <= gauge and sum/count <= the
+             counters. *)
+          let metric assoc name = List.assoc_opt name assoc in
+          let bad = ref 0 and first = ref "" in
+          List.iter
+            (fun (r : Int_sink.row) ->
+              let scope = Printf.sprintf "txq.%s.port%d" r.node r.port in
+              let fail fmt =
+                Printf.ksprintf
+                  (fun s ->
+                    incr bad;
+                    if !first = "" then first := s)
+                  fmt
+              in
+              match
+                ( metric gauges (scope ^ ".sojourn_ns"),
+                  metric counters (scope ^ ".sojourn_total_ns"),
+                  metric counters (scope ^ ".sojourn_samples") )
+              with
+              | Some g, Some total, Some samples ->
+                if r.max_ns > g then fail "%s: INT max %d > gauge %d" scope r.max_ns g
+                else if r.sum_ns > total then
+                  fail "%s: INT sum %d > total %d" scope r.sum_ns total
+                else if r.samples > samples then
+                  fail "%s: %d INT samples > %d recorded" scope r.samples samples
+              | _ -> fail "%s: sojourn instruments missing from report" scope)
+            rows;
+          check
+            (Printf.sprintf "INT sojourns fit txq instruments (%d ports)" (List.length rows))
+            (!bad = 0)
+            (Printf.sprintf "%d port(s) out of bounds (e.g. %s)" !bad !first)
+      in
+      ok1 && ok2
+    end
+  in
+  (feed, verdict)
 
 (* The report's [int] section is the run's ambient sink, which folded the
    same stacks the trace records, so replaying the trace must rebuild it
@@ -532,22 +546,29 @@ let check_int_replay sink report_json =
       "the trace's int_hop/int_strip events fold to another section"
 
 let validate ~pcap ~trace ~report =
-  let events = load_trace trace in
+  let events = ref 0 in
+  let lifecycle, check_lifecycles = lifecycles () in
+  let tap, check_counts = tap_counts () in
+  let stamps, check_stamps = int_stamps () in
+  let sink = Int_sink.create () in
+  let replay = Int_sink.replay (fun _ -> Some sink) in
+  iter_trace trace (fun now ev ->
+      incr events;
+      lifecycle ev;
+      tap ev;
+      stamps now ev;
+      replay now ev);
   Format.printf "validating %s against %s%s@." pcap trace
     (match report with Some r -> " and " ^ r | None -> "");
-  let frames =
-    match Pcap.read (read_file pcap) with Ok f -> f | Error e -> failf "%s: %s" pcap e
-  in
+  let frames, check_roundtrip = scan_capture pcap in
   let report = Option.map load_report report in
   let metrics = Option.map snd report in
-  let sink = Int_sink.create () in
-  Int_sink.replay (fun _ -> Some sink) events;
   (* Run every check even after a failure, so one run reports them all. *)
-  let c1 = check (Printf.sprintf "trace parses (%d events)" (List.length events)) true "" in
-  let c2 = check_pcap_roundtrip frames in
-  let c3 = check_lifecycles events in
-  let c4 = check_counts frames events ~metrics in
-  let c5 = check_int events (Int_sink.rows sink) ~metrics in
+  let c1 = check (Printf.sprintf "trace parses (%d events)" !events) true "" in
+  let c2 = check_roundtrip () in
+  let c3 = check_lifecycles () in
+  let c4 = check_counts ~frames ~metrics in
+  let c5 = check_stamps (Int_sink.rows sink) ~metrics in
   let c6 = match report with Some (json, _) -> check_int_replay sink json | None -> true in
   let ok = c1 && c2 && c3 && c4 && c5 && c6 in
   if not ok then failf "validation failed";
@@ -578,10 +599,9 @@ let explain_cmd =
   in
   let run pkt flow trace =
     wrap (fun () ->
-        let events = load_trace trace in
         match (pkt, flow) with
-        | Some n, None -> explain_pkt events n
-        | None, Some spec -> explain_flow events spec
+        | Some n, None -> explain_pkt trace n
+        | None, Some spec -> explain_flow trace spec
         | Some _, Some _ -> failf "--pkt and --flow are mutually exclusive"
         | None, None -> failf "one of --pkt or --flow is required")
   in
@@ -589,7 +609,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc) Term.(ret (const run $ pkt_arg $ flow_arg $ trace_pos))
 
 let summary_cmd =
-  let run trace = wrap (fun () -> summary (load_trace trace)) in
+  let run trace = wrap (fun () -> summary trace) in
   let doc = "per-kind event counts and the trace's time span" in
   Cmd.v (Cmd.info "summary" ~doc) Term.(ret (const run $ trace_pos))
 
@@ -601,7 +621,7 @@ let int_cmd =
     in
     Arg.(required & opt (some string) None & info [ "flow" ] ~docv:"FLOW" ~doc)
   in
-  let run spec trace = wrap (fun () -> int_view (load_trace trace) spec) in
+  let run spec trace = wrap (fun () -> int_view trace spec) in
   let doc = "break a flow's latency down hop-by-hop from its in-band telemetry" in
   Cmd.v (Cmd.info "int" ~doc) Term.(ret (const run $ flow_arg $ trace_pos))
 
@@ -613,7 +633,7 @@ let why_cmd =
     in
     Arg.(required & opt (some string) None & info [ "flow" ] ~docv:"FLOW" ~doc)
   in
-  let run spec trace = wrap (fun () -> why_view (load_trace trace) spec) in
+  let run spec trace = wrap (fun () -> why_view trace spec) in
   let doc =
     "explain why a flow was slow: its exact stall-state timeline (handshake, app/cwnd/rwnd \
      limited, RTO recovery, in flight) plus per-hop queueing attribution when INT was on"

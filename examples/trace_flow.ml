@@ -9,9 +9,10 @@
      with their PACK option already consumed and the receive window
      rewritten to AC/DC's computed value.
 
-   - the structured trace layer (lib/obs): a ring tracer installed as the
-     ambient sink records every enqueue, CE mark and RWND rewrite across
-     the whole fabric, and the tail of that ring is replayed at the end.
+   - the structured trace layer (lib/obs): a JSONL tracer installed as the
+     ambient sink streams every enqueue, CE mark and RWND rewrite across
+     the whole fabric to a file, which is read back at the end with the
+     reader trace_query uses, and its last control-plane events printed.
 
    - the time-series layer (Obs.Timeseries): virtual-clock probes sample
      the switch's queue depth and the flow's enforced window every 100 us,
@@ -21,8 +22,9 @@
    Run with: dune exec examples/trace_flow.exe
              dune exec examples/trace_flow.exe -- /tmp/flow.jsonl
              dune exec examples/trace_flow.exe -- /tmp/flow.jsonl /tmp/flow-ts
-   (with a file argument the full trace is also streamed there as JSONL;
-   with a directory argument each channel is written as <dir>/<name>.csv) *)
+   (with a file argument the JSONL trace is kept there, otherwise in a
+   temporary file removed at exit; with a directory argument each channel
+   is written as <dir>/<name>.csv) *)
 
 module Engine = Eventsim.Engine
 module Time_ns = Eventsim.Time_ns
@@ -54,17 +56,14 @@ let tap engine =
 let () =
   (* Install the ambient tracer *before* the topology is built — switches
      and NICs capture it at construction time. *)
-  let ring = Obs.Trace.ring ~capacity:4096 () in
-  let file, csv_dir =
+  let path, keep, csv_dir =
     match Sys.argv with
-    | [| _; path |] -> (Some (open_out path, path), None)
-    | [| _; path; dir |] -> (Some (open_out path, path), Some dir)
-    | _ -> (None, None)
+    | [| _; path |] -> (path, true, None)
+    | [| _; path; dir |] -> (path, true, Some dir)
+    | _ -> (Filename.temp_file "trace_flow" ".jsonl", false, None)
   in
-  Obs.Runtime.set_tracer
-    (match file with
-    | Some (oc, _) -> Obs.Trace.tee ring (Obs.Trace.jsonl_channel oc)
-    | None -> ring);
+  let oc = open_out path in
+  Obs.Runtime.set_tracer (Obs.Trace.jsonl_channel oc);
   let params = Fabric.Params.with_ecn (Fabric.Params.with_mtu Fabric.Params.default 1500) in
   let engine = Engine.create () in
   let net =
@@ -107,22 +106,26 @@ let () =
       (Acdc.Sender.rwnd_rewrites sender)
   | None -> ());
   Fabric.Topology.shutdown net;
-  (* Replay the tail of the structured trace: prefer the control-plane
-     events (rewrites, marks) over the enqueue/dequeue chatter. *)
-  let interesting = function
-    | _, (Obs.Trace.Enqueue _ | Obs.Trace.Dequeue _) -> false
-    | _ -> true
+  Obs.Runtime.set_tracer Obs.Trace.null;
+  close_out oc;
+  (* Read the trace back and keep the tail of the control-plane events
+     (rewrites, marks), skipping the enqueue/dequeue chatter. *)
+  let interesting = function Obs.Trace.Enqueue _ | Obs.Trace.Dequeue _ -> false | _ -> true in
+  let events, tail =
+    match
+      Obs.Trace.fold_file path ~init:(0, []) (fun (n, tail) t ev ->
+          (n + 1, if interesting ev then List.filteri (fun i _ -> i < 10) ((t, ev) :: tail) else tail))
+    with
+    | Ok read -> read
+    | Error msg -> failwith msg
   in
-  let events = Obs.Trace.events ring in
-  let picked = List.filter interesting events in
-  Format.printf "@.Structured trace: %d events recorded fabric-wide (%d in the ring);@."
-    (Obs.Trace.recorded ring) (List.length events);
+  Format.printf "@.Structured trace: %d events recorded fabric-wide, read back from JSONL;@."
+    events;
   Format.printf "last control-plane events (CE marks, RWND rewrites, alpha updates):@.";
-  let tail n l = List.filteri (fun i _ -> i >= List.length l - n) l in
   List.iter
     (fun (t, ev) ->
       Format.printf "  %8.2fus %a@." (Time_ns.to_us t) Obs.Trace.pp_event ev)
-    (tail 10 picked);
+    (List.rev tail);
   (* Per-run metric snapshot from the same ambient registry the switches
      and AC/DC modules count into. *)
   Format.printf "@.Metric snapshot (ambient registry):@.";
@@ -141,11 +144,7 @@ let () =
       Format.printf "  %-28s %4d points, last %s %s@." (Obs.Timeseries.name ch)
         (Obs.Timeseries.length ch) last (Obs.Timeseries.unit_label ch))
     (Obs.Timeseries.channels ts);
-  (match file with
-  | Some (oc, path) ->
-    close_out oc;
-    Format.printf "@.full JSONL trace written to %s@." path
-  | None -> ());
+  if keep then Format.printf "@.full JSONL trace written to %s@." path else Sys.remove path;
   (match csv_dir with
   | Some dir ->
     Obs.Timeseries.write_csv_dir ts ~dir;

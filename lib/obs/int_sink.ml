@@ -83,23 +83,22 @@ let absorb t ~now ~flow ~hops ~exceeded =
   if Array.length hops > 0 then Samples.add t.path_sojourn (float_of_int !path)
 
 (* The strip point emits a stack's [int_hop]s in path order right before
-   its [int_strip], with nothing in between. *)
-let replay select events =
+   its [int_strip], with nothing in between; only the hops of the stack
+   being read are held. *)
+let replay select =
   let pending = ref [] in
-  List.iter
-    (fun (now, ev) ->
-      match ev with
-      | Trace.Int_hop { hop; port; ingress; egress; qbytes; svc_bps; _ } ->
-        let hop_id = Int_meta.register ~name:hop in
-        pending :=
-          { Int_meta.hop_id; port; ingress_ns = ingress; egress_ns = egress; qbytes; svc_bps }
-          :: !pending
-      | Trace.Int_strip { flow; exceeded; _ } ->
-        let hops = Array.of_list (List.rev !pending) in
-        pending := [];
-        Option.iter (fun t -> absorb t ~now ~flow ~hops ~exceeded) (select flow)
-      | _ -> ())
-    events
+  fun now ev ->
+    match ev with
+    | Trace.Int_hop { hop; port; ingress; egress; qbytes; svc_bps; _ } ->
+      let hop_id = Int_meta.register ~name:hop in
+      pending :=
+        { Int_meta.hop_id; port; ingress_ns = ingress; egress_ns = egress; qbytes; svc_bps }
+        :: !pending
+    | Trace.Int_strip { flow; exceeded; _ } ->
+      let hops = Array.of_list (List.rev !pending) in
+      pending := [];
+      Option.iter (fun t -> absorb t ~now ~flow ~hops ~exceeded) (select flow)
+    | _ -> ()
 
 let packets t = t.packets
 

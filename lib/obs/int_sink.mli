@@ -10,7 +10,8 @@
 
     Besides {!Attrib}'s per-flow split of in-flight time, it is the only
     per-hop fold: [ext-int-hops] feeds a private sink from
-    [Acdc.Int_feedback], and [trace_query] rebuilds sinks with {!replay}. *)
+    [Acdc.Int_feedback], and [trace_query] rebuilds sinks from a trace with
+    {!replay}. *)
 
 type t
 
@@ -34,12 +35,16 @@ val absorb :
 (** Fold one stripped stack (path order) into the aggregates. *)
 
 val replay :
-  (Dcpkt.Flow_key.t -> t option) -> (Eventsim.Time_ns.t * Trace.event) list -> unit
-(** [replay select events] folds a trace's stacks as the strip point
-    does: each [int_strip] absorbs the [int_hop]s just before it into
-    the sink [select] picks for its flow ([None] skips it).  Hop names go through {!Dcpkt.Int_meta.register}, so labels
-    match the run's in a fresh process, and a run's unfiltered trace
-    replays into a fresh sink with the ambient sink's {!to_json}. *)
+  (Dcpkt.Flow_key.t -> t option) -> Eventsim.Time_ns.t -> Trace.event -> unit
+(** [replay select] is a fresh feed that folds a trace's stacks as the
+    strip point does: call it on each event in trace order, and each
+    [int_strip] absorbs the [int_hop]s just before it into the sink
+    [select] picks for its flow ([None] skips it).  It holds only the
+    hops of the stack being read, so a caller feeds it inside its own
+    pass over a trace ({!Trace.fold_file}).  Hop names go through
+    {!Dcpkt.Int_meta.register}, so labels match the run's in a fresh
+    process, and a run's unfiltered trace replays into a fresh sink with
+    the ambient sink's {!to_json}. *)
 
 val packets : t -> int
 (** Stacks absorbed since creation/[reset]; zero omits the report's

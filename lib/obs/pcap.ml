@@ -189,142 +189,125 @@ type frame = { iface : string option; ts : Time_ns.t; orig_len : int; data : str
 let get16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
 let get32 s off = get16 s off lor (get16 s (off + 2) lsl 16)
 
-let read_classic s =
-  if String.length s < 24 then Error "pcap: truncated file header"
-  else begin
-    let magic = get32 s 0 in
-    let ts_scale = if magic = ns_magic then 1 else 1000 in
-    if get32 s 20 <> linktype_ethernet then Error "pcap: not an Ethernet capture"
-    else begin
-      let frames = ref [] in
-      let off = ref 24 in
-      let err = ref None in
-      let len = String.length s in
-      while !err = None && !off < len do
-        if !off + 16 > len then err := Some "pcap: truncated record header"
-        else begin
-          let sec = get32 s !off in
-          let frac = get32 s (!off + 4) in
-          let incl = get32 s (!off + 8) in
-          let orig = get32 s (!off + 12) in
-          if !off + 16 + incl > len then err := Some "pcap: truncated record"
-          else begin
-            frames :=
-              {
-                iface = None;
-                ts = ((sec * 1_000_000_000) + (frac * ts_scale) : Time_ns.t);
-                orig_len = orig;
-                data = String.sub s (!off + 16) incl;
-              }
-              :: !frames;
-            off := !off + 16 + incl
-          end
-        end
-      done;
-      match !err with Some e -> Error e | None -> Ok (List.rev !frames)
-    end
-  end
+exception Bad of string
 
-let read_ng s =
-  let len = String.length s in
-  let frames = ref [] in
-  let ifaces = ref [] (* reversed: id = position from the end *) in
-  let tsresol = Hashtbl.create 4 in
-  let err = ref None in
-  let off = ref 0 in
-  let fail e = err := Some e in
-  let parse_idb body =
-    (* linktype(2) reserved(2) snaplen(4) options… *)
-    let name = ref None in
-    let resol = ref 6 (* pcapng default: microseconds *) in
-    let blen = String.length body in
-    if blen < 8 then fail "pcapng: short IDB"
-    else begin
-      let o = ref 8 in
-      let stop = ref false in
-      while (not !stop) && !err = None && !o + 4 <= blen do
-        let code = get16 body !o in
-        let vlen = get16 body (!o + 2) in
-        let vpad = (4 - (vlen mod 4)) mod 4 in
-        if !o + 4 + vlen > blen then fail "pcapng: truncated IDB option"
-        else begin
-          let value = String.sub body (!o + 4) vlen in
-          (match code with
-          | 0 -> stop := true
-          | 2 -> name := Some value
-          | 9 -> if vlen = 1 then resol := Char.code value.[0]
-          | _ -> ());
-          o := !o + 4 + vlen + vpad
-        end
-      done;
-      if !err = None then begin
-        let id = List.length !ifaces in
-        ifaces := (match !name with Some n -> n | None -> Printf.sprintf "if%d" id) :: !ifaces;
-        if !resol land 0x80 <> 0 then fail "pcapng: power-of-2 tsresol unsupported"
-        else Hashtbl.replace tsresol id !resol
-      end
-    end
+let bad fmt = Printf.ksprintf (fun e -> raise (Bad e)) fmt
+
+(* A pcapng interface's timestamp ticks are 10^-resol s. *)
+let ns_of_ticks ~resol ticks =
+  let rec pow10 n = if n <= 0 then 1 else 10 * pow10 (n - 1) in
+  if resol >= 9 then ticks / pow10 (resol - 9) else ticks * pow10 (9 - resol)
+
+(* An interface description block body: linktype(2) reserved(2)
+   snaplen(4) options...; its name and timestamp resolution. *)
+let parse_idb b ~len ~id =
+  if len < 8 then bad "pcapng: short IDB";
+  let rec options o name resol =
+    if o + 4 > len then (name, resol)
+    else
+      let code = get16 b o and vlen = get16 b (o + 2) in
+      if o + 4 + vlen > len then bad "pcapng: truncated IDB option";
+      let next = o + 4 + vlen + ((4 - (vlen mod 4)) mod 4) in
+      match code with
+      | 0 -> (name, resol)
+      | 2 -> options next (String.sub b (o + 4) vlen) resol
+      | 9 when vlen = 1 -> options next name (Char.code b.[o + 4])
+      | _ -> options next name resol
   in
-  let parse_epb body =
-    let blen = String.length body in
-    if blen < 20 then fail "pcapng: short EPB"
-    else begin
-      let id = get32 body 0 in
-      let ts = (get32 body 4 lsl 32) lor get32 body 8 in
-      let incl = get32 body 12 in
-      let orig = get32 body 16 in
-      if 20 + incl > blen then fail "pcapng: truncated EPB data"
-      else
-        match List.nth_opt (List.rev !ifaces) id with
-        | None -> fail (Printf.sprintf "pcapng: EPB references unknown interface %d" id)
-        | Some name ->
-          let resol = try Hashtbl.find tsresol id with Not_found -> 6 in
-          let ns =
-            (* scale 10^-resol ticks to nanoseconds *)
-            let rec pow10 n = if n <= 0 then 1 else 10 * pow10 (n - 1) in
-            if resol >= 9 then ts / pow10 (resol - 9) else ts * pow10 (9 - resol)
+  (* pcapng's default resolution is microseconds *)
+  let name, resol = options 8 (Printf.sprintf "if%d" id) 6 in
+  if resol land 0x80 <> 0 then bad "pcapng: power-of-2 tsresol unsupported";
+  (name, resol)
+
+(* Both formats are a sequence of records, each a fixed-size header that
+   gives the length of the rest; classic pcap puts a 24-byte file header
+   in front.  The file's size bounds every read, so a cut or a corrupt
+   length is an error before anything is allocated. *)
+let fold_file path ~init f =
+  let read ic =
+    let size = Int64.to_int (In_channel.length ic) in
+    let at_end () = Int64.to_int (In_channel.pos ic) >= size in
+    let take n what =
+      if Int64.to_int (In_channel.pos ic) + n > size then bad "%s" what
+      else really_input_string ic n
+    in
+    (* Fold [record] over the records from here to the end of the file. *)
+    let records ~name ~header ~rest ~record =
+      let rec loop acc =
+        if at_end () then acc
+        else
+          let h = take header (name ^ ": truncated record header") in
+          let body = take (rest h) (name ^ ": truncated record") in
+          loop (record acc h body)
+      in
+      loop
+    in
+    if size < 4 then bad "capture file too short";
+    let magic = get32 (really_input_string ic 4) 0 in
+    In_channel.seek ic 0L;
+    if magic = ns_magic || magic = us_magic then begin
+      let fh = take 24 "pcap: truncated file header" in
+      if get32 fh 20 <> linktype_ethernet then bad "pcap: not an Ethernet capture";
+      let ts_scale = if magic = ns_magic then 1 else 1000 in
+      records ~name:"pcap" ~header:classic_record_header
+        ~rest:(fun h -> get32 h 8)
+        ~record:(fun acc h data ->
+          f acc
+            {
+              iface = None;
+              ts = (get32 h 0 * 1_000_000_000) + (get32 h 4 * ts_scale);
+              orig_len = get32 h 12;
+              data;
+            })
+        init
+    end
+    else if magic = 0x0A0D0D0A then begin
+      let ifaces = Hashtbl.create 16 (* id -> name, tsresol *) in
+      (* A block is  type | total_len | body | total_len. *)
+      let rest h =
+        let total = get32 h 4 in
+        if total < 12 || total mod 4 <> 0 then bad "pcapng: bad block length";
+        total - 8
+      in
+      let record acc h b =
+        let len = String.length b - 4 in
+        if get32 b len <> get32 h 4 then bad "pcapng: trailing block length mismatch";
+        match get32 h 0 with
+        | 0x0A0D0D0A ->
+          if len < 4 || get32 b 0 <> 0x1A2B3C4D then
+            bad "pcapng: big-endian or corrupt section header";
+          acc
+        | 0x00000001 ->
+          let id = Hashtbl.length ifaces in
+          Hashtbl.replace ifaces id (parse_idb b ~len ~id);
+          acc
+        | 0x00000006 ->
+          (* iface(4) ts_high(4) ts_low(4) incl_len(4) orig_len(4) frame *)
+          if len < 20 then bad "pcapng: short EPB";
+          let id = get32 b 0 and incl = get32 b 12 in
+          if 20 + incl > len then bad "pcapng: truncated EPB data";
+          let name, resol =
+            match Hashtbl.find_opt ifaces id with
+            | Some iface -> iface
+            | None -> bad "pcapng: EPB references unknown interface %d" id
           in
-          frames :=
+          f acc
             {
               iface = Some name;
-              ts = (ns : Time_ns.t);
-              orig_len = orig;
-              data = String.sub body 20 incl;
+              ts = ns_of_ticks ~resol ((get32 b 4 lsl 32) lor get32 b 8);
+              orig_len = get32 b 16;
+              data = String.sub b 20 incl;
             }
-            :: !frames
+        | _ -> acc (* skip unknown block types, per spec *)
+      in
+      records ~name:"pcapng" ~header:8 ~rest ~record init
     end
+    else bad "unrecognized capture magic 0x%08X" magic
   in
-  while !err = None && !off < len do
-    if !off + 12 > len then fail "pcapng: truncated block header"
-    else begin
-      let btype = get32 s !off in
-      let total = get32 s (!off + 4) in
-      if total < 12 || total mod 4 <> 0 || !off + total > len then
-        fail "pcapng: bad block length"
-      else if get32 s (!off + total - 4) <> total then
-        fail "pcapng: trailing block length mismatch"
-      else begin
-        let body = String.sub s (!off + 8) (total - 12) in
-        (match btype with
-        | 0x0A0D0D0A ->
-          if String.length body < 4 || get32 body 0 <> 0x1A2B3C4D then
-            fail "pcapng: big-endian or corrupt section header"
-        | 0x00000001 -> parse_idb body
-        | 0x00000006 -> parse_epb body
-        | _ -> () (* skip unknown block types, per spec *));
-        off := !off + total
-      end
-    end
-  done;
-  match !err with Some e -> Error e | None -> Ok (List.rev !frames)
-
-let read s =
-  if String.length s < 4 then Error "capture file too short"
-  else
-    match get32 s 0 with
-    | m when m = ns_magic || m = us_magic -> read_classic s
-    | 0x0A0D0D0A -> read_ng s
-    | m -> Error (Printf.sprintf "unrecognized capture magic 0x%08X" m)
+  match In_channel.with_open_bin path read with
+  | acc -> Ok acc
+  | exception Sys_error e -> Error e
+  | exception Bad e -> Error (Printf.sprintf "%s: %s" path e)
 
 let format_of_path path =
   if Filename.check_suffix path ".pcapng" then Pcapng else Pcap

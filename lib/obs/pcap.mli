@@ -3,7 +3,7 @@
     Capture taps sit at transmit queues, vSwitch edges and impaired links;
     each tap renders the segment with {!Dcpkt.Packet.to_wire} and appends
     one frame to a pcap or pcapng stream that Wireshark/tshark — or the
-    in-repo {!read} — can open.  Timestamps are the engine's virtual clock
+    in-repo {!fold_file} — can open.  Timestamps are the engine's virtual clock
     in nanoseconds, so with a fixed seed the capture is byte-identical
     across runs.
 
@@ -60,6 +60,12 @@ type frame = {
   data : string;  (** captured bytes — headers only, for our own captures *)
 }
 
-val read : string -> (frame list, string) result
-(** Parse an entire capture file's contents; the format is detected from
-    the magic number. *)
+val fold_file : string -> init:'a -> ('a -> frame -> 'a) -> ('a, string) result
+(** [fold_file path ~init f] reads the capture at [path] one record at a
+    time and folds [f] over its frames in file order; the format is
+    detected from the magic number.  Only the record being read is held,
+    so memory follows what [f] keeps, not the capture's size.  A capture
+    cut at a record boundary reads as the frames before the cut; a cut
+    inside a header or record, or a corrupt one, is [Error "PATH: msg"]
+    and never an exception.  An unreadable file is [Error] with the
+    system's message. *)

@@ -45,26 +45,12 @@ type event =
       spent : int;
     }
 
-type ring = {
-  slots : (Time_ns.t * event) option array;
-  mutable next : int;
-  mutable total : int;
-}
-
 type t =
   | Null
-  | Ring of ring
   | Write of { line : Buffer.t; write : string -> unit }
-  | Tee of t * t
   | Filter of (Time_ns.t -> event -> bool) * t
 
 let null = Null
-
-let tee a b = match (a, b) with Null, t | t, Null -> t | a, b -> Tee (a, b)
-
-let ring ?(capacity = 1024) () =
-  assert (capacity > 0);
-  Ring { slots = Array.make capacity None; next = 0; total = 0 }
 
 let jsonl ~write = Write { line = Buffer.create 256; write }
 
@@ -75,7 +61,7 @@ let jsonl_channel oc =
 
 let filter ~keep = function Null -> Null | t -> Filter (keep, t)
 
-let enabled = function Null -> false | Ring _ | Write _ | Tee _ | Filter _ -> true
+let enabled = function Null -> false | Write _ | Filter _ -> true
 
 let reason_label = function
   | No_route -> "no_route"
@@ -333,204 +319,125 @@ let encode line ~now event =
   Buffer.add_char line '}'
 
 (* ------------------------------------------------------------------ *)
-(* JSON decoding (the inverse of [encode], for trace_query)            *)
+(* JSON decoding (the inverse of [encode])                             *)
+
+exception Malformed of string
 
 let event_of_json json =
-  let ( let* ) = Result.bind in
+  let bad fmt = Printf.ksprintf (fun e -> raise (Malformed e)) fmt in
   let field name =
-    match Json.member name json with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
+    match Json.member name json with Some v -> v | None -> bad "missing field %S" name
   in
-  let int name =
-    let* v = field name in
-    match v with Json.Int i -> Ok i | _ -> Error (Printf.sprintf "field %S: not an int" name)
-  in
+  let int name = match field name with Json.Int i -> i | _ -> bad "field %S: not an int" name in
   let str name =
-    let* v = field name in
-    match v with
-    | Json.String s -> Ok s
-    | _ -> Error (Printf.sprintf "field %S: not a string" name)
+    match field name with Json.String s -> s | _ -> bad "field %S: not a string" name
   in
   let num name =
-    let* v = field name in
-    match v with
-    | Json.Float f -> Ok f
-    | Json.Int i -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "field %S: not a number" name)
+    match field name with
+    | Json.Float f -> f
+    | Json.Int i -> float_of_int i
+    | _ -> bad "field %S: not a number" name
   in
-  let bool name =
-    let* v = field name in
-    match v with
-    | Json.Bool b -> Ok b
-    | _ -> Error (Printf.sprintf "field %S: not a bool" name)
+  let bool name = match field name with Json.Bool b -> b | _ -> bad "field %S: not a bool" name in
+  let flow name = match flow_of_spec (str name) with Ok f -> f | Error e -> bad "%s" e in
+  (* A line with several bad fields names one of them. *)
+  let decode () =
+    let now = int "t" in
+    let event =
+      match str "ev" with
+      | "created" ->
+        Created
+          { node = str "node"; pkt = int "pkt"; flow = flow "flow"; size = int "size";
+            kind = str "kind" }
+      | "enqueue" ->
+        Enqueue
+          { node = str "node"; port = int "port"; pkt = int "pkt"; size = int "size";
+            qbytes = int "qbytes" }
+      | "dequeue" ->
+        Dequeue
+          { node = str "node"; port = int "port"; pkt = int "pkt"; size = int "size";
+            qbytes = int "qbytes" }
+      | "drop" ->
+        let label = str "reason" in
+        let reason =
+          match reason_of_label label with
+          | Some r -> r
+          | None -> bad "unknown drop reason %S" label
+        in
+        Drop { node = str "node"; port = int "port"; pkt = int "pkt"; size = int "size"; reason }
+      | "ce_mark" ->
+        Ce_mark { node = str "node"; port = int "port"; pkt = int "pkt"; qbytes = int "qbytes" }
+      | "impaired" ->
+        let action =
+          match str "action" with
+          | "lost" -> Imp_lost
+          | "corrupted" -> Imp_corrupted
+          | "pack_stripped" -> Imp_pack_stripped
+          | "reordered" -> Imp_reordered
+          | "duplicated" -> Imp_duplicated { copy = int "copy" }
+          | label -> bad "unknown impair action %S" label
+        in
+        Impaired { link = str "link"; pkt = int "pkt"; action }
+      | "vswitch_drop" ->
+        Vswitch_drop { node = str "node"; pkt = int "pkt"; egress = str "dir" = "egress" }
+      | "delivered" -> Delivered { node = str "node"; pkt = int "pkt" }
+      | "pack_attach" ->
+        Pack_attach
+          { flow = flow "flow"; pkt = int "pkt"; total = int "total"; marked = int "marked" }
+      | "rwnd_rewrite" ->
+        Rwnd_rewrite
+          { flow = flow "flow"; pkt = int "pkt"; window = int "window"; field = int "field" }
+      | "alpha_update" ->
+        Alpha_update { flow = flow "flow"; alpha = num "alpha"; fraction = num "fraction" }
+      | "policer_drop" ->
+        Policer_drop
+          { flow = flow "flow"; pkt = int "pkt"; seq = int "seq"; window = int "window" }
+      | "dupack" -> Dupack { flow = flow "flow"; ack = int "ack"; count = int "count" }
+      | "rto" -> Rto_fire { flow = flow "flow"; inferred = bool "inferred"; count = int "count" }
+      | "int_hop" ->
+        Int_hop
+          { flow = flow "flow"; pkt = int "pkt"; depth = int "depth"; hop = str "hop";
+            port = int "port"; ingress = int "ingress"; egress = int "egress";
+            qbytes = int "qbytes"; svc_bps = int "svc_bps" }
+      | "int_strip" ->
+        Int_strip
+          { node = str "node"; flow = flow "flow"; pkt = int "pkt"; hops = int "hops";
+            exceeded = bool "exceeded" }
+      | "attrib" ->
+        Attrib_transition
+          { flow = flow "flow"; from_state = str "from"; to_state = str "to";
+            spent = int "spent" }
+      | ev -> bad "unknown event kind %S" ev
+    in
+    (now, event)
   in
-  let flow name =
-    let* s = str name in
-    flow_of_spec s
-  in
-  let* now = int "t" in
-  let* ev = str "ev" in
-  let* event =
-    match ev with
-    | "created" ->
-      let* node = str "node" in
-      let* pkt = int "pkt" in
-      let* flow = flow "flow" in
-      let* size = int "size" in
-      let* kind = str "kind" in
-      Ok (Created { node; pkt; flow; size; kind })
-    | "enqueue" | "dequeue" ->
-      let* node = str "node" in
-      let* port = int "port" in
-      let* pkt = int "pkt" in
-      let* size = int "size" in
-      let* qbytes = int "qbytes" in
-      Ok
-        (if ev = "enqueue" then Enqueue { node; port; pkt; size; qbytes }
-         else Dequeue { node; port; pkt; size; qbytes })
-    | "drop" ->
-      let* node = str "node" in
-      let* port = int "port" in
-      let* pkt = int "pkt" in
-      let* size = int "size" in
-      let* label = str "reason" in
-      let* reason =
-        match reason_of_label label with
-        | Some r -> Ok r
-        | None -> Error (Printf.sprintf "unknown drop reason %S" label)
-      in
-      Ok (Drop { node; port; pkt; size; reason })
-    | "ce_mark" ->
-      let* node = str "node" in
-      let* port = int "port" in
-      let* pkt = int "pkt" in
-      let* qbytes = int "qbytes" in
-      Ok (Ce_mark { node; port; pkt; qbytes })
-    | "impaired" ->
-      let* link = str "link" in
-      let* pkt = int "pkt" in
-      let* label = str "action" in
-      let* action =
-        match label with
-        | "lost" -> Ok Imp_lost
-        | "corrupted" -> Ok Imp_corrupted
-        | "pack_stripped" -> Ok Imp_pack_stripped
-        | "reordered" -> Ok Imp_reordered
-        | "duplicated" ->
-          let* copy = int "copy" in
-          Ok (Imp_duplicated { copy })
-        | _ -> Error (Printf.sprintf "unknown impair action %S" label)
-      in
-      Ok (Impaired { link; pkt; action })
-    | "vswitch_drop" ->
-      let* node = str "node" in
-      let* pkt = int "pkt" in
-      let* dir = str "dir" in
-      Ok (Vswitch_drop { node; pkt; egress = dir = "egress" })
-    | "delivered" ->
-      let* node = str "node" in
-      let* pkt = int "pkt" in
-      Ok (Delivered { node; pkt })
-    | "pack_attach" ->
-      let* flow = flow "flow" in
-      let* pkt = int "pkt" in
-      let* total = int "total" in
-      let* marked = int "marked" in
-      Ok (Pack_attach { flow; pkt; total; marked })
-    | "rwnd_rewrite" ->
-      let* flow = flow "flow" in
-      let* pkt = int "pkt" in
-      let* window = int "window" in
-      let* field = int "field" in
-      Ok (Rwnd_rewrite { flow; pkt; window; field })
-    | "alpha_update" ->
-      let* flow = flow "flow" in
-      let* alpha = num "alpha" in
-      let* fraction = num "fraction" in
-      Ok (Alpha_update { flow; alpha; fraction })
-    | "policer_drop" ->
-      let* flow = flow "flow" in
-      let* pkt = int "pkt" in
-      let* seq = int "seq" in
-      let* window = int "window" in
-      Ok (Policer_drop { flow; pkt; seq; window })
-    | "dupack" ->
-      let* flow = flow "flow" in
-      let* ack = int "ack" in
-      let* count = int "count" in
-      Ok (Dupack { flow; ack; count })
-    | "rto" ->
-      let* flow = flow "flow" in
-      let* inferred = bool "inferred" in
-      let* count = int "count" in
-      Ok (Rto_fire { flow; inferred; count })
-    | "int_hop" ->
-      let* flow = flow "flow" in
-      let* pkt = int "pkt" in
-      let* depth = int "depth" in
-      let* hop = str "hop" in
-      let* port = int "port" in
-      let* ingress = int "ingress" in
-      let* egress = int "egress" in
-      let* qbytes = int "qbytes" in
-      let* svc_bps = int "svc_bps" in
-      Ok (Int_hop { flow; pkt; depth; hop; port; ingress; egress; qbytes; svc_bps })
-    | "int_strip" ->
-      let* node = str "node" in
-      let* flow = flow "flow" in
-      let* pkt = int "pkt" in
-      let* hops = int "hops" in
-      let* exceeded = bool "exceeded" in
-      Ok (Int_strip { node; flow; pkt; hops; exceeded })
-    | "attrib" ->
-      let* flow = flow "flow" in
-      let* from_state = str "from" in
-      let* to_state = str "to" in
-      let* spent = int "spent" in
-      Ok (Attrib_transition { flow; from_state; to_state; spent })
-    | _ -> Error (Printf.sprintf "unknown event kind %S" ev)
-  in
-  Ok (now, event)
+  match decode () with decoded -> Ok decoded | exception Malformed e -> Error e
 
 let rec emit t ~now event =
   match t with
   | Null -> ()
-  | Ring r ->
-    r.slots.(r.next) <- Some (now, event);
-    r.next <- (r.next + 1) mod Array.length r.slots;
-    r.total <- r.total + 1
   | Write { line; write } ->
     Buffer.clear line;
     encode line ~now event;
     write (Buffer.contents line)
-  | Tee (a, b) ->
-    emit a ~now event;
-    emit b ~now event
   | Filter (keep, inner) -> if keep now event then emit inner ~now event
 
-let rec events = function
-  | Null | Write _ -> []
-  | Ring r ->
-    let capacity = Array.length r.slots in
-    let oldest = if r.total <= capacity then 0 else r.next in
-    List.filter_map
-      (fun i -> r.slots.((oldest + i) mod capacity))
-      (List.init (Stdlib.min r.total capacity) Fun.id)
-  | Tee (a, b) -> events a @ events b
-  | Filter (_, inner) -> events inner
-
-let rec recorded = function
-  | Null | Write _ -> 0
-  | Ring r -> r.total
-  | Tee (a, b) -> recorded a + recorded b
-  | Filter (_, inner) -> recorded inner
+(* A JSONL trace read back line by line: each event is decoded and
+   handed on as it is read, so a reader keeps only what it folds. *)
+let fold_file path ~init f =
+  let rec lines ic lineno acc =
+    match In_channel.input_line ic with
+    | None -> Ok acc
+    | Some line when String.trim line = "" -> lines ic (lineno + 1) acc
+    | Some line -> (
+      match Result.bind (Json.of_string line) event_of_json with
+      | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e)
+      | Ok (now, ev) -> lines ic (lineno + 1) (f acc now ev))
+  in
+  try In_channel.with_open_bin path (fun ic -> lines ic 1 init) with Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Pre-sink filters (--trace-filter)                                   *)
-
-let kind_filter ~kinds inner =
-  filter inner ~keep:(fun _ event -> List.mem (kind_of_event event) kinds)
 
 let flow_selector ~flows =
   let matches key =
@@ -557,8 +464,6 @@ let flow_selector ~flows =
       | Some flow -> matches flow
       | None -> (
         match pkt_of_event event with Some pkt -> Hashtbl.mem tracked pkt | None -> false))
-
-let flow_filter ~flows inner = filter inner ~keep:(flow_selector ~flows)
 
 let filter_of_spec spec =
   let ( let* ) = Result.bind in
@@ -600,8 +505,11 @@ let filter_of_spec spec =
        the sink but must not hide from the tracker. *)
     Ok
       (fun sink ->
-        let sink = if kinds = [] then sink else kind_filter ~kinds sink in
-        if flows = [] then sink else flow_filter ~flows sink)
+        let sink =
+          if kinds = [] then sink
+          else filter sink ~keep:(fun _ event -> List.mem (kind_of_event event) kinds)
+        in
+        if flows = [] then sink else filter sink ~keep:(flow_selector ~flows))
 
 let pp_event fmt event =
   let flow = Flow_key.pp in

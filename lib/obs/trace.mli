@@ -103,9 +103,6 @@ type t
 val null : t
 (** The disabled tracer.  [enabled null = false]; [emit] is a no-op. *)
 
-val ring : ?capacity:int -> unit -> t
-(** Keep the last [capacity] (default 1024) events in memory. *)
-
 val jsonl : write:(string -> unit) -> t
 (** Stream each event as one compact JSON line to [write] (the string has
     no trailing newline): ["t"] and ["ev"] (its {!kind_of_event}) first,
@@ -117,37 +114,34 @@ val jsonl : write:(string -> unit) -> t
 val jsonl_channel : out_channel -> t
 (** [jsonl] writing newline-terminated lines to a channel. *)
 
-val tee : t -> t -> t
-(** Emit every event to both sinks (e.g. a ring for replay plus a JSONL
-    file).  [tee null t = t]. *)
-
-val filter : keep:(Eventsim.Time_ns.t -> event -> bool) -> t -> t
-(** Pass only events satisfying [keep] to the inner sink.
-    [filter ~keep null = null]. *)
-
-val kind_filter : kinds:string list -> t -> t
-(** Keep only events whose {!kind_of_event} is listed. *)
+val fold_file :
+  string -> init:'a -> ('a -> Eventsim.Time_ns.t -> event -> 'a) -> ('a, string) result
+(** [fold_file path ~init f] reads the JSONL trace at [path] one line at
+    a time and folds [f] over its events in file order, decoding each
+    with {!event_of_json}; blank lines are skipped.  Nothing but [f]'s
+    accumulator outlives a line, so memory follows what [f] keeps, not
+    the file's size.  [Error "PATH:LINE: msg"] names the first malformed
+    line (1-based); an unreadable file is [Error] with the system's
+    message. *)
 
 val flow_selector :
   flows:Dcpkt.Flow_key.t list -> Eventsim.Time_ns.t -> event -> bool
-(** A fresh stateful predicate implementing {!flow_filter}'s matching
-    rule; also usable offline over a parsed trace (as [trace_query]
-    does). *)
-
-val flow_filter : flows:Dcpkt.Flow_key.t list -> t -> t
-(** Keep events belonging to any of [flows], in either direction.
-    Flow-keyed events match on their 4-tuple; packet-keyed events (queue
-    operations, impairments, delivery) match if the packet id was
-    introduced by a matching [Created] event — so this filter is stateful
-    and must observe the full stream (compose it {e outside} any kind
-    filter, as {!filter_of_spec} does).  Impairment-made duplicates of a
-    tracked packet are tracked too. *)
+(** A fresh stateful predicate: does an event belong to any of [flows],
+    in either direction?  Flow-keyed events match on their 4-tuple;
+    packet-keyed events (queue operations, impairments, delivery) match
+    if the packet id was introduced by a matching [Created] event, and
+    impairment-made duplicates of a tracked packet are tracked too.  So
+    it must observe the full stream.  [--trace-filter]'s flow clause and
+    [trace_query explain --flow] both select with it. *)
 
 val filter_of_spec : string -> (t -> t, string) result
-(** Parse a [--trace-filter] spec into a sink transformer.  The spec is
-    comma-separated [flow=SRC_IP:SRC_PORT-DST_IP:DST_PORT] and
-    [kind=K1|K2|...] clauses; multiple values of one key union, distinct
-    keys intersect.  Example: ["flow=1:40000-3:5001,kind=drop|ce_mark"].
+(** Parse a [--trace-filter] spec into a sink transformer, which passes
+    only the events the spec selects to the sink it wraps (and returns
+    {!null} unchanged).  The spec is comma-separated
+    [flow=SRC_IP:SRC_PORT-DST_IP:DST_PORT] and [kind=K1|K2|...] clauses;
+    multiple values of one key union, distinct keys intersect.  The flow
+    clause selects with {!flow_selector} and sees every event, even those
+    the kind clause drops.  Example: ["flow=1:40000-3:5001,kind=drop|ce_mark"].
     A kind outside {!event_kinds} is an [Error] that names it. *)
 
 val flow_of_spec : string -> (Dcpkt.Flow_key.t, string) result
@@ -156,13 +150,6 @@ val flow_of_spec : string -> (Dcpkt.Flow_key.t, string) result
 
 val enabled : t -> bool
 val emit : t -> now:Eventsim.Time_ns.t -> event -> unit
-
-val events : t -> (Eventsim.Time_ns.t * event) list
-(** Recorded events, oldest first.  Only ring tracers record; [[]]
-    otherwise. *)
-
-val recorded : t -> int
-(** Total events emitted to a ring tracer (including overwritten ones). *)
 
 val pkt_kind : Dcpkt.Packet.t -> string
 (** Classify a segment for [Created] events: ["syn"], ["syn_ack"],
@@ -191,7 +178,8 @@ val pkt_of_event : event -> int option
 (** The packet id, for packet-keyed events. *)
 
 val event_of_json : Json.t -> (Eventsim.Time_ns.t * event, string) result
-(** Inverse of the {!jsonl} encoding; [trace_query] uses it to re-read
-    JSONL traces.  Round-trips every constructor. *)
+(** Inverse of the {!jsonl} encoding, one line's parsed JSON at a time
+    ({!fold_file} reads traces through it).  Round-trips every
+    constructor. *)
 
 val pp_event : Format.formatter -> event -> unit

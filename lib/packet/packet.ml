@@ -255,8 +255,8 @@ let fold_checksum sum =
    against the same convention.  The payload still contributes through
    the pseudo-header length.  The pseudo-header's addresses are read from
    the IPv4 header just before the segment; its zero byte and protocol
-   sum to 6. *)
-let tcp_checksum b ~tcp_off ~tcp_len ~payload =
+   sum to 6.  [tcp_sum] is the unfolded sum, checksum field included. *)
+let tcp_sum b ~tcp_off ~tcp_len ~payload =
   let pseudo =
     Bytes.get_uint16_be b (tcp_off - 8)
     + Bytes.get_uint16_be b (tcp_off - 6)
@@ -265,7 +265,7 @@ let tcp_checksum b ~tcp_off ~tcp_len ~payload =
     + 6
     + ((tcp_len + payload) land 0xFFFF)
   in
-  fold_checksum (ones_sum pseudo b ~off:tcp_off ~len:tcp_len)
+  ones_sum pseudo b ~off:tcp_off ~len:tcp_len
 
 let max_wire_bytes = base_header + max_tcp_option_bytes
 
@@ -377,7 +377,7 @@ let write_wire t b ~off =
     Bytes.set_uint8 b (pos + 2) ((if t.int_exceeded then 0x80 else 0) lor (n land 0x7F));
     write_hops b (pos + 3) (n - 1) t.int_stack
   end;
-  set16 b (off + 50) (tcp_checksum b ~tcp_off:(off + 34) ~tcp_len ~payload:t.payload);
+  set16 b (off + 50) (fold_checksum (tcp_sum b ~tcp_off:(off + 34) ~tcp_len ~payload:t.payload));
   len
 
 let to_wire t =
@@ -463,6 +463,7 @@ let decode_options b ~off ~len =
 
 let of_wire s =
   try
+    (* [b] aliases [s]: it is only ever read. *)
     let b = Bytes.unsafe_of_string s in
     if String.length s < 54 then raise (Wire "frame shorter than minimal headers");
     if Bytes.get_uint16_be b 12 <> 0x0800 then raise (Wire "not an IPv4 ethertype");
@@ -476,11 +477,12 @@ let of_wire s =
     if String.length s < 34 + tcp_len then raise (Wire "frame truncated inside TCP header");
     let payload = ip_total - 20 - tcp_len in
     if payload < 0 then raise (Wire "IP total length below header length");
-    let expected = Bytes.get_uint16_be b 50 in
-    Bytes.set_uint16_be b 50 0;
-    let computed = tcp_checksum b ~tcp_off:34 ~tcp_len ~payload in
-    Bytes.set_uint16_be b 50 expected;
-    if computed <> expected then raise (Wire "TCP checksum mismatch");
+    (* The sum less the stored field is the sum [to_wire] folded with the
+       field zeroed.  (Folding the sum with the field in, which must give
+       0, would also accept 0xFFFF in place of a 0x0000 checksum.) *)
+    let stored = Bytes.get_uint16_be b 50 in
+    if fold_checksum (tcp_sum b ~tcp_off:34 ~tcp_len ~payload - stored) <> stored then
+      raise (Wire "TCP checksum mismatch");
     let key =
       Flow_key.make
         ~src_ip:(get32 b 26 land 0xFFFFFF)

@@ -169,7 +169,7 @@ val max_wire_bytes : int
 val of_wire : string -> (t, string) result
 (** Parse bytes produced by {!to_wire} (a header-snapped frame; trailing
     payload bytes, if present, are ignored).  Verifies both checksums and
-    every option's framing.  The result's [id] is the 16-bit wire
+    every option's framing, and never writes to [s].  The result's [id] is the 16-bit wire
     identification field — decoding does not consume simulator ids — and
     [sent_at] is zero.  [to_wire (Result.get_ok (of_wire s))] reproduces
     [s] byte-for-byte for any frame [to_wire] emitted. *)

@@ -165,19 +165,21 @@ let test_trace_roundtrip () =
 
 let test_transitions_emitted () =
   let t = fresh () in
-  let ring = Trace.ring ~capacity:16 () in
+  let lines = ref [] in
+  let tracer = Trace.jsonl ~write:(fun l -> lines := l :: !lines) in
   Attrib.start t ~now:Time_ns.zero flow;
-  Attrib.note t ~now:(Time_ns.us 3) ~tracer:ring flow Attrib.Blocked_cwnd;
-  Attrib.note t ~now:(Time_ns.us 3) ~tracer:ring flow Attrib.Blocked_cwnd (* no-op *);
-  Attrib.complete t ~now:(Time_ns.us 9) ~tracer:ring flow;
+  Attrib.note t ~now:(Time_ns.us 3) ~tracer flow Attrib.Blocked_cwnd;
+  Attrib.note t ~now:(Time_ns.us 3) ~tracer flow Attrib.Blocked_cwnd (* no-op *);
+  Attrib.complete t ~now:(Time_ns.us 9) ~tracer flow;
   let transitions =
-    List.filter_map
-      (fun (_, ev) ->
-        match ev with
-        | Trace.Attrib_transition { from_state; to_state; spent; _ } ->
-          Some (from_state, to_state, spent)
-        | _ -> None)
-      (Trace.events ring)
+    List.rev_map
+      (fun line ->
+        match Result.bind (Json.of_string line) Trace.event_of_json with
+        | Ok (_, Trace.Attrib_transition { from_state; to_state; spent; _ }) ->
+          (from_state, to_state, spent)
+        | Ok (_, ev) -> Alcotest.failf "not a transition: %s" (Trace.kind_of_event ev)
+        | Error msg -> Alcotest.fail (line ^ ": " ^ msg))
+      !lines
   in
   Alcotest.(check (list (triple string string int)))
     "one event per transition plus the completion"

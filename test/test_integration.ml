@@ -701,9 +701,11 @@ let test_int_replay_matches_sink () =
         | Error e -> Alcotest.failf "unparsable trace line %s: %s" line e)
       !lines
   in
+  (* The replay is fed one event at a time, as trace_query feeds it. *)
   let replay events =
     let sink = Obs.Int_sink.create () in
-    Obs.Int_sink.replay (fun _ -> Some sink) events;
+    let feed = Obs.Int_sink.replay (fun _ -> Some sink) in
+    List.iter (fun (now, ev) -> feed now ev) events;
     sink
   in
   let json sink = Obs.Json.to_string (Obs.Int_sink.to_json sink) in

@@ -70,43 +70,12 @@ let test_metrics_json () =
     (Json.to_string (Metrics.to_json reg))
 
 (* ------------------------------------------------------------------ *)
-(* Trace ring                                                          *)
+(* Trace sinks                                                         *)
 
-let enq i =
-  Trace.Enqueue { node = "sw"; port = 0; pkt = i; size = 100; qbytes = 100 * i }
-
-let pkt_ids tracer =
-  List.map
-    (fun (_, ev) -> match ev with Trace.Enqueue { pkt; _ } -> pkt | _ -> -1)
-    (Trace.events tracer)
-
-let test_ring_wraparound () =
-  let tracer = Trace.ring ~capacity:4 () in
-  Alcotest.(check bool) "enabled" true (Trace.enabled tracer);
-  for i = 1 to 6 do
-    Trace.emit tracer ~now:(Time_ns.us i) (enq i)
-  done;
-  check_int "total emitted" 6 (Trace.recorded tracer);
-  Alcotest.(check (list int)) "last capacity events, oldest first" [ 3; 4; 5; 6 ]
-    (pkt_ids tracer)
-
-let test_ring_partial_fill () =
-  let tracer = Trace.ring ~capacity:8 () in
-  for i = 1 to 3 do
-    Trace.emit tracer ~now:(Time_ns.us i) (enq i)
-  done;
-  Alcotest.(check (list int)) "no padding before wrap" [ 1; 2; 3 ] (pkt_ids tracer)
-
-let test_null_and_tee () =
+let test_null () =
   Alcotest.(check bool) "null disabled" false (Trace.enabled Trace.null);
-  Trace.emit Trace.null ~now:Time_ns.zero (enq 1) (* must be a no-op *);
-  let ring = Trace.ring ~capacity:4 () in
-  let lines = ref [] in
-  let tee = Trace.tee ring (Trace.jsonl ~write:(fun l -> lines := l :: !lines)) in
-  Trace.emit tee ~now:(Time_ns.us 1) (enq 1);
-  check_int "ring side" 1 (Trace.recorded tee);
-  check_int "jsonl side" 1 (List.length !lines);
-  Alcotest.(check bool) "tee null collapses" true (Trace.tee Trace.null ring == ring)
+  Trace.emit Trace.null ~now:Time_ns.zero
+    (Trace.Delivered { node = "h"; pkt = 1 }) (* must be a no-op *)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: the same seeded simulation twice produces byte-identical
@@ -279,43 +248,93 @@ let test_event_json_rejects () =
       {|[1,2]|} (* not an object *);
     ]
 
-let kinds_seen tracer = List.map (fun (_, ev) -> Trace.kind_of_event ev) (Trace.events tracer)
+(* The reader [trace_query] uses, on a file of the given lines; the
+   file's path comes back too. *)
+let read_lines lines =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> List.iter (Printf.fprintf oc "%s\n") lines);
+  let read = Trace.fold_file path ~init:[] (fun acc now ev -> (now, ev) :: acc) in
+  Sys.remove path;
+  (path, Result.map List.rev read)
+
+(* [events] emitted through [wrap] into a JSONL sink, the i-th at
+   (i + 1) us, and read back. *)
+let through wrap events =
+  let lines = ref [] in
+  let sink = wrap (Trace.jsonl ~write:(fun line -> lines := line :: !lines)) in
+  List.iteri (fun i ev -> Trace.emit sink ~now:(Time_ns.us (i + 1)) ev) events;
+  match read_lines (List.rev !lines) with _, Ok evs -> evs | _, Error msg -> Alcotest.fail msg
+
+let test_reader_roundtrip () =
+  Alcotest.(check bool)
+    "every constructor comes back, in order, with its timestamp" true
+    (through Fun.id all_events = List.mapi (fun i ev -> (Time_ns.us (i + 1), ev)) all_events)
+
+let test_reader_blank_lines () =
+  let a, b = match golden_lines with a :: b :: _ -> (a, b) | _ -> assert false in
+  let _, read = read_lines [ ""; a; "   "; ""; b; "\t" ] in
+  Alcotest.(check (list string))
+    "blank lines skipped" [ "created"; "enqueue" ]
+    (List.map (fun (_, ev) -> Trace.kind_of_event ev) (Result.get_ok read))
+
+let test_reader_names_bad_line () =
+  let a = List.hd golden_lines in
+  List.iter
+    (fun (lines, lineno) ->
+      let path, read = read_lines lines in
+      match read with
+      | Ok _ -> Alcotest.fail "malformed trace accepted"
+      | Error msg ->
+        let prefix = Printf.sprintf "%s:%d: " path lineno in
+        Alcotest.(check string)
+          "error starts with FILE:LINE" prefix
+          (String.sub msg 0 (Stdlib.min (String.length msg) (String.length prefix))))
+    [
+      ([ a; ""; a; {|{"t":1,"ev":"warp"}|}; a ], 4) (* unknown kind; blank lines count *);
+      ([ "{oops" ], 1) (* not JSON *);
+      ([ a; a; {|{"t":1,"ev":"delivered"}|} ], 3) (* missing field *);
+    ];
+  Alcotest.(check bool) "missing file is an error" true
+    (Result.is_error (Trace.fold_file "/nonexistent/t.jsonl" ~init:() (fun () _ _ -> ())))
+
+let kinds_seen events = List.map (fun (_, ev) -> Trace.kind_of_event ev) events
+
+let spec s = match Trace.filter_of_spec s with Ok wrap -> wrap | Error msg -> Alcotest.fail msg
 
 let test_kind_filter () =
-  let ring = Trace.ring ~capacity:64 () in
-  let t = Trace.kind_filter ~kinds:[ "drop"; "ce_mark" ] ring in
   Alcotest.(check bool) "filter over null collapses" false
-    (Trace.enabled (Trace.kind_filter ~kinds:[ "drop" ] Trace.null));
-  List.iteri (fun i ev -> Trace.emit t ~now:(Time_ns.us i) ev) all_events;
+    (Trace.enabled (spec "kind=drop" Trace.null));
   Alcotest.(check (list string))
     "only requested kinds pass"
     [ "drop"; "drop"; "drop"; "drop"; "drop"; "ce_mark" ]
-    (kinds_seen ring)
+    (kinds_seen (through (spec "kind=drop|ce_mark") all_events))
 
 let test_flow_filter () =
   let other = Dcpkt.Flow_key.make ~src_ip:2 ~dst_ip:7 ~src_port:41000 ~dst_port:5001 in
-  let ring = Trace.ring ~capacity:64 () in
-  let t = Trace.flow_filter ~flows:[ flow ] ring in
   let created ~pkt ~flow = Trace.Created { node = "h"; pkt; flow; size = 100; kind = "data" } in
-  let emit = Trace.emit t ~now:Time_ns.zero in
-  emit (created ~pkt:1 ~flow);
-  emit (created ~pkt:2 ~flow:other);
-  (* Events that carry only a packet id must resolve through the state
-     learned from Created. *)
-  emit (Trace.Enqueue { node = "s"; port = 0; pkt = 1; size = 100; qbytes = 100 });
-  emit (Trace.Enqueue { node = "s"; port = 0; pkt = 2; size = 100; qbytes = 100 });
-  (* Duplicates inherit membership from the packet they copy. *)
-  emit (Trace.Impaired { link = "l"; pkt = 1; action = Trace.Imp_duplicated { copy = 50 } });
-  emit (Trace.Delivered { node = "h"; pkt = 50 });
-  emit (Trace.Delivered { node = "h"; pkt = 2 });
-  (* The reverse direction belongs to the same flow. *)
-  emit (created ~pkt:3 ~flow:(Dcpkt.Flow_key.reverse flow));
-  emit (Trace.Dupack { flow = other; ack = 1; count = 1 });
-  emit (Trace.Dupack { flow = Dcpkt.Flow_key.reverse flow; ack = 1; count = 1 });
+  let seen =
+    through (spec "flow=1:40000-6:5001")
+      [
+        created ~pkt:1 ~flow;
+        created ~pkt:2 ~flow:other;
+        (* Events that carry only a packet id must resolve through the
+           state learned from Created. *)
+        Trace.Enqueue { node = "s"; port = 0; pkt = 1; size = 100; qbytes = 100 };
+        Trace.Enqueue { node = "s"; port = 0; pkt = 2; size = 100; qbytes = 100 };
+        (* Duplicates inherit membership from the packet they copy. *)
+        Trace.Impaired { link = "l"; pkt = 1; action = Trace.Imp_duplicated { copy = 50 } };
+        Trace.Delivered { node = "h"; pkt = 50 };
+        Trace.Delivered { node = "h"; pkt = 2 };
+        (* The reverse direction belongs to the same flow. *)
+        created ~pkt:3 ~flow:(Dcpkt.Flow_key.reverse flow);
+        Trace.Dupack { flow = other; ack = 1; count = 1 };
+        Trace.Dupack { flow = Dcpkt.Flow_key.reverse flow; ack = 1; count = 1 };
+      ]
+  in
   Alcotest.(check (list string))
     "matching flow only, through ids, copies and both directions"
     [ "created"; "enqueue"; "impaired"; "delivered"; "created"; "dupack" ]
-    (kinds_seen ring)
+    (kinds_seen seen)
 
 let test_flow_of_spec () =
   let ok s =
@@ -331,32 +350,23 @@ let test_flow_of_spec () =
     [ ""; "1:40000"; "1:40000-6"; "a:b-c:d"; "1:40000-6:5001-7:1" ]
 
 let test_filter_of_spec () =
-  let wrap =
-    match Trace.filter_of_spec "flow=1:40000-6:5001,kind=drop|delivered" with
-    | Ok w -> w
-    | Error msg -> Alcotest.fail msg
+  let other = Dcpkt.Flow_key.make ~src_ip:9 ~dst_ip:9 ~src_port:1 ~dst_port:2 in
+  let seen =
+    through
+      (spec "flow=1:40000-6:5001,kind=drop|delivered")
+      [
+        (* The flow clause must learn packet membership even though
+           'created' is not a requested kind. *)
+        Trace.Created { node = "h"; pkt = 1; flow; size = 100; kind = "data" };
+        Trace.Created { node = "h"; pkt = 2; flow = other; size = 100; kind = "data" };
+        Trace.Drop { node = "s"; port = 0; pkt = 1; size = 100; reason = Trace.No_route };
+        Trace.Drop { node = "s"; port = 0; pkt = 2; size = 100; reason = Trace.No_route };
+        Trace.Delivered { node = "h"; pkt = 1 };
+        Trace.Enqueue { node = "s"; port = 0; pkt = 1; size = 100; qbytes = 100 };
+      ]
   in
-  let ring = Trace.ring ~capacity:64 () in
-  let t = wrap ring in
-  let emit = Trace.emit t ~now:Time_ns.zero in
-  (* The flow clause must learn packet membership even though 'created'
-     is not a requested kind. *)
-  emit (Trace.Created { node = "h"; pkt = 1; flow; size = 100; kind = "data" });
-  emit
-    (Trace.Created
-       {
-         node = "h";
-         pkt = 2;
-         flow = Dcpkt.Flow_key.make ~src_ip:9 ~dst_ip:9 ~src_port:1 ~dst_port:2;
-         size = 100;
-         kind = "data";
-       });
-  emit (Trace.Drop { node = "s"; port = 0; pkt = 1; size = 100; reason = Trace.No_route });
-  emit (Trace.Drop { node = "s"; port = 0; pkt = 2; size = 100; reason = Trace.No_route });
-  emit (Trace.Delivered { node = "h"; pkt = 1 });
-  emit (Trace.Enqueue { node = "s"; port = 0; pkt = 1; size = 100; qbytes = 100 });
   Alcotest.(check (list string))
-    "flow and kind clauses intersect" [ "drop"; "delivered" ] (kinds_seen ring);
+    "flow and kind clauses intersect" [ "drop"; "delivered" ] (kinds_seen seen);
   List.iter
     (fun s ->
       Alcotest.(check bool)
@@ -643,10 +653,11 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "ring partial fill" `Quick test_ring_partial_fill;
-          Alcotest.test_case "null + tee" `Quick test_null_and_tee;
+          Alcotest.test_case "null" `Quick test_null;
           Alcotest.test_case "jsonl determinism" `Quick test_jsonl_determinism;
+          Alcotest.test_case "reader returns every constructor" `Quick test_reader_roundtrip;
+          Alcotest.test_case "reader skips blank lines" `Quick test_reader_blank_lines;
+          Alcotest.test_case "reader names a malformed line" `Quick test_reader_names_bad_line;
         ] );
       ( "events",
         [

@@ -210,8 +210,35 @@ let test_wire_errors () =
        false
      with Invalid_argument _ -> true)
 
+(* [of_wire] only reads its argument: with any value in the TCP checksum
+   field (bytes 50-51) it accepts exactly the frame's own checksum, and
+   the string it was given is unchanged. *)
+let prop_of_wire_checksum =
+  let frames =
+    lazy (Array.of_list (List.map (fun (_, _, p) -> Packet.to_wire p) (wire_matrix ())))
+  in
+  QCheck.Test.make ~name:"of_wire checks the tcp checksum read-only" ~count:2000
+    QCheck.(pair (int_bound 1000) (option (int_bound 0xFFFF)))
+    (fun (i, value) ->
+      let frames = Lazy.force frames in
+      let b = Bytes.of_string frames.(i mod Array.length frames) in
+      let own = Bytes.get_uint16_be b 50 in
+      let v = Option.value value ~default:own in
+      Bytes.set_uint16_be b 50 v;
+      let arg = Bytes.to_string b in
+      let copy = Bytes.to_string b in
+      Result.is_ok (Packet.of_wire arg) = (v = own) && String.equal arg copy)
+
 (* ------------------------------------------------------------------ *)
 (* Pcap writer/reader units                                            *)
+
+(* [bytes] read back through the capture reader, from a file. *)
+let read_capture bytes =
+  let path = Filename.temp_file "capture" ".pcap" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  let read = Pcap.fold_file path ~init:[] (fun acc f -> f :: acc) in
+  Sys.remove path;
+  Result.map List.rev read
 
 let write_capture format packets =
   let buf = Buffer.create 4096 in
@@ -252,14 +279,14 @@ let test_pcap_classic () =
   let packets = sample_packets () in
   let bytes, count = write_capture Pcap.Pcap packets in
   check_int "writer frame counter" (List.length packets) count;
-  match Pcap.read bytes with
+  match read_capture bytes with
   | Error e -> Alcotest.fail e
   | Ok frames -> check_frames frames packets ~expect_iface:false
 
 let test_pcapng () =
   let packets = sample_packets () in
   let bytes, _ = write_capture Pcap.Pcapng packets in
-  match Pcap.read bytes with
+  match read_capture bytes with
   | Error e -> Alcotest.fail e
   | Ok frames ->
     check_frames frames packets ~expect_iface:true;
@@ -318,8 +345,46 @@ let test_rejected_frame_writes_nothing () =
 
 let test_read_rejects_garbage () =
   List.iter
-    (fun s -> check_bool "rejected" true (Result.is_error (Pcap.read s)))
+    (fun s -> check_bool "rejected" true (Result.is_error (read_capture s)))
     [ ""; "xx"; String.make 64 '\000'; "\x4d\x3c\xb2\xa1" (* truncated header *) ]
+
+(* A capture cut at any byte offset: at a record or block boundary it
+   reads as the frames before the cut, anywhere else it is an [Error],
+   never an exception.  Each [write] the sink makes is one file header,
+   block or record, so the writes mark the boundaries. *)
+let test_read_cut_captures () =
+  List.iter
+    (fun format ->
+      let writes = ref [] in
+      let sink = Pcap.create ~format ~write:(fun s -> writes := s :: !writes) in
+      List.iter (fun (iface, now, pkt) -> Pcap.capture sink ~iface ~now pkt) (sample_packets ());
+      let writes = List.rev !writes in
+      let bytes = String.concat "" writes in
+      let frames = Result.get_ok (read_capture bytes) in
+      let is_frame i w =
+        match format with Pcap.Pcap -> i > 0 | Pcap.Pcapng -> String.get_int32_le w 0 = 6l
+      in
+      (* boundary offset -> frames written before it *)
+      let boundaries = Hashtbl.create 16 in
+      ignore
+        (List.fold_left
+           (fun (i, off, n) w ->
+             let off = off + String.length w and n = if is_frame i w then n + 1 else n in
+             Hashtbl.replace boundaries off n;
+             (i + 1, off, n))
+           (0, 0, 0) writes);
+      check_int "every frame read" (List.length (sample_packets ())) (List.length frames);
+      for cut = 0 to String.length bytes do
+        let label = Printf.sprintf "cut at %d of %d" cut (String.length bytes) in
+        match (Hashtbl.find_opt boundaries cut, read_capture (String.sub bytes 0 cut)) with
+        | Some n, Ok read ->
+          check_bool (label ^ ": the frames before it") true
+            (read = List.filteri (fun i _ -> i < n) frames)
+        | None, Error _ -> ()
+        | Some _, Error e -> Alcotest.failf "%s: boundary rejected: %s" label e
+        | None, Ok _ -> Alcotest.failf "%s: accepted inside a record" label
+      done)
+    [ Pcap.Pcap; Pcap.Pcapng ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a seeded AC/DC run captures a byte-identical, fully
@@ -361,7 +426,7 @@ let test_run_capture_deterministic () =
 
 let test_run_capture_roundtrips () =
   let bytes, count = capture_of_run Pcap.Pcapng in
-  match Pcap.read bytes with
+  match read_capture bytes with
   | Error e -> Alcotest.fail e
   | Ok frames ->
     check_int "reader sees every frame" count (List.length frames);
@@ -392,6 +457,7 @@ let () =
           Alcotest.test_case "roundtrip matrix" `Quick test_wire_roundtrip;
           Alcotest.test_case "golden wire bytes" `Quick test_wire_golden;
           Alcotest.test_case "error handling" `Quick test_wire_errors;
+          QCheck_alcotest.to_alcotest prop_of_wire_checksum;
         ] );
       ( "files",
         [
@@ -401,6 +467,7 @@ let () =
           Alcotest.test_case "rejected frame writes nothing" `Quick
             test_rejected_frame_writes_nothing;
           Alcotest.test_case "garbage rejected" `Quick test_read_rejects_garbage;
+          Alcotest.test_case "cut captures" `Quick test_read_cut_captures;
         ] );
       ( "run",
         [
