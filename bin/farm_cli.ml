@@ -3,13 +3,13 @@
      farm run --all -j 4        run everything not already cached, merge corpus
      farm status                cache hit/miss plan + regression-gate status
      farm gc                    drop cache entries no current scenario owns
-     farm render                write the static HTML dashboard
      farm fingerprint           print the code fingerprint cache keys use
      farm gate --record ...     record whether CI's regression gate ran
 
-   Scenario identity is (id, kind, seed, canonical config JSON) hashed
-   together with the digest of the worker executables, so a scenario
-   re-runs exactly when its parameters or the simulator code change. *)
+   Scenario identity is (id, kind, seed, canonical config JSON, arguments)
+   hashed together with the digest of the worker executables, so a
+   scenario re-runs exactly when its parameters or the simulator code
+   change.  [<root>/corpus.json] is the sweep's one merged artifact. *)
 
 let default_expt_exe () =
   Filename.concat (Filename.dirname Sys.executable_name) "acdc_expt.exe"
@@ -92,12 +92,8 @@ let cmd_run ctx ids filter changed_only jobs =
     0
   end
   else begin
-    (* Trajectory points only make sense for the full scenario universe:
-       a filtered selection would record a misleadingly small run. *)
-    let record_history = List.length scenarios = List.length ctx.scenarios in
     let summary =
-      Farm.Service.run ~jobs ~record_history ~root:ctx.root ~fingerprint:ctx.fingerprint
-        scenarios
+      Farm.Service.run ~jobs ~root:ctx.root ~fingerprint:ctx.fingerprint scenarios
     in
     let pct =
       if summary.Farm.Service.total = 0 then 100.0
@@ -167,48 +163,6 @@ let cmd_gc ctx dry_run =
   end;
   0
 
-let cmd_render ctx out =
-  let items = Farm.Service.plan ~root:ctx.root ~fingerprint:ctx.fingerprint ctx.scenarios in
-  let rows =
-    List.map
-      (fun i ->
-        let s = i.Farm.Service.scenario in
-        let entry = Farm.Cache.find ctx.root ~key:i.Farm.Service.key in
-        let wall_s =
-          Option.bind entry (fun e ->
-              match Obs.Json.member "wall_s" e.Farm.Cache.meta with
-              | Some (Obs.Json.Float w) -> Some w
-              | Some (Obs.Json.Int w) -> Some (float_of_int w)
-              | _ -> None)
-        in
-        let report =
-          if i.Farm.Service.cached then
-            match
-              Obs.Report.read_file ~path:(Farm.Cache.report_path ctx.root i.Farm.Service.key)
-            with
-            | Ok r -> Some r
-            | Error _ -> None
-          else None
-        in
-        {
-          Farm.Dashboard.id = s.Farm.Scenario.id;
-          kind = s.Farm.Scenario.kind;
-          seed = s.Farm.Scenario.seed;
-          key = i.Farm.Service.key;
-          cached = i.Farm.Service.cached;
-          wall_s;
-          report;
-        })
-      items
-  in
-  let out = Option.value out ~default:(Filename.concat ctx.root "dashboard.html") in
-  Farm.Cache.mkdir_p (Filename.dirname out);
-  Farm.Dashboard.write ~path:out ~fingerprint:ctx.fingerprint ~rows
-    ~history:(Farm.Service.history ~root:ctx.root)
-    ~gate:(Farm.Gate.read ~root:ctx.root);
-  Format.printf "wrote %s@." out;
-  0
-
 let cmd_fingerprint ctx =
   print_endline ctx.fingerprint;
   0
@@ -225,7 +179,7 @@ let cmd_gate root record detail =
 open Cmdliner
 
 let root_arg =
-  let doc = "Farm state directory (cache, corpus, history, dashboard)." in
+  let doc = "Farm state directory (cache, corpus, gate status)." in
   Arg.(value & opt string "_farm" & info [ "root" ] ~docv:"DIR" ~doc)
 
 let expt_exe_arg =
@@ -298,16 +252,6 @@ let gc_cmd =
   in
   Cmd.v (Cmd.info "gc" ~doc) Term.(const cmd_gc $ ctx_term $ dry)
 
-let render_cmd =
-  let doc = "render the cached corpus into a static HTML dashboard" in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output path (default ROOT/dashboard.html).")
-  in
-  Cmd.v (Cmd.info "render" ~doc) Term.(const cmd_render $ ctx_term $ out)
-
 let fingerprint_cmd =
   let doc = "print the code fingerprint current cache keys are derived from" in
   Cmd.v (Cmd.info "fingerprint" ~doc) Term.(const cmd_fingerprint $ ctx_term)
@@ -330,6 +274,6 @@ let gate_cmd =
 let cmd =
   let doc = "content-addressed parallel scenario farm for the AC/DC evaluation suite" in
   Cmd.group (Cmd.info "farm" ~doc)
-    [ run_cmd; status_cmd; gc_cmd; render_cmd; fingerprint_cmd; gate_cmd ]
+    [ run_cmd; status_cmd; gc_cmd; fingerprint_cmd; gate_cmd ]
 
 let () = exit (Cmd.eval' cmd)

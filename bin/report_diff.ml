@@ -1,19 +1,12 @@
 (* Compare two run reports field by field and exit nonzero on
    regression — the CI gate behind the bench smoke report.
 
-   Exit codes: 0 no regression, 1 regression found, 2 usage / IO / parse
-   error. *)
+   Exit codes: 0 no regression, 1 regression found, 2 usage error or an
+   input that is not a report.  Both inputs go through
+   [Obs.Report.read_file], as in the farm and [trace_query validate], so
+   an unreadable file, bad JSON or a missing "schema" field is exit 2. *)
 
 open Cmdliner
-
-let load path =
-  let ic = try open_in path with Sys_error msg -> failwith msg in
-  let len = in_channel_length ic in
-  let raw = really_input_string ic len in
-  close_in ic;
-  match Obs.Json.of_string raw with
-  | Ok json -> json
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
 
 let base_arg =
   let doc = "Baseline report (the previous run's artifact)." in
@@ -52,12 +45,15 @@ let main base current tols default_tol quiet =
   in
   (* Overrides shadow the defaults: first match wins in Diff. *)
   let rules = overrides @ Obs.Diff.default_rules in
-  let base_json, current_json =
-    try (load base, load current)
-    with Failure msg ->
+  let load path =
+    match Obs.Report.read_file ~path with
+    | Ok json -> json
+    | Error msg ->
       Format.eprintf "%s@." msg;
       exit 2
   in
+  let base_json = load base in
+  let current_json = load current in
   let outcome = Obs.Diff.diff ~rules ~default_tol ~base:base_json ~current:current_json () in
   let outcome =
     if quiet then

@@ -350,8 +350,9 @@ let lifecycles () =
   (feed, verdict)
 
 (* One pass over the capture: every frame must parse, re-encode to its
-   own bytes and account for its payload in [orig_len]. *)
-let scan_capture path =
+   own bytes and account for its payload in [orig_len]; [port_frame]
+   sees every frame too. *)
+let scan_capture path ~port_frame =
   let frames = ref 0 and bad = ref 0 and first_err = ref "" in
   let fail fmt =
     Printf.ksprintf
@@ -368,6 +369,7 @@ let scan_capture path =
       else if f.Pcap.orig_len <> String.length f.Pcap.data + pkt.Packet.payload then
         fail "orig_len %d <> header %d + payload %d" f.Pcap.orig_len
           (String.length f.Pcap.data) pkt.Packet.payload);
+    port_frame f;
     incr frames
   in
   (match Pcap.fold_file path ~init:() frame with Ok () -> () | Error e -> failf "%s" e);
@@ -441,6 +443,68 @@ let tap_counts () =
            frames expected dequeues delivered no_endpoint vm_egress impair_forwarded)
   in
   (feed, verdict)
+
+(* The capture tap at a transmit queue fires right after the queue's
+   Dequeue event, at the same instant, and the frame carries the packet
+   id's low 16 bits as its IPv4 identification.  So per port — the pcapng
+   interface "node:port" — the frames must be the port's dequeues, in
+   order.  Each side folds to a count and an order-sensitive digest of
+   (time, id mod 2^16) per port, which keeps both passes streaming.
+   Frames at VM edges and impaired links have no Dequeue and are left to
+   the count checks; a classic pcap names no interfaces. *)
+let port_frames () =
+  (* port -> (count, digest) *)
+  let traced = Hashtbl.create 32 and captured = Hashtbl.create 32 in
+  let classic = ref false in
+  let fold tbl port = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl port) in
+  let add tbl port t id =
+    let n, d = fold tbl port in
+    (* FNV-1a steps over the two words, wrapping at OCaml's int width. *)
+    Hashtbl.replace tbl port (n + 1, (((d lxor t) * 0x100000001b3) lxor id) * 0x100000001b3)
+  in
+  let feed now = function
+    | Trace.Dequeue { node; port; pkt; _ } ->
+      add traced (Printf.sprintf "%s:%d" node port) now (pkt land 0xFFFF)
+    | _ -> ()
+  in
+  let frame (f : Pcap.frame) =
+    match f.Pcap.iface with
+    | None -> classic := true
+    | Some iface ->
+      let data = f.Pcap.data in
+      add captured iface f.Pcap.ts
+        (if String.length data >= 20 then String.get_uint16_be data 18 else -1)
+  in
+  let verdict ~frames =
+    let name = "queue frames match dequeues" in
+    if !classic then begin
+      Format.printf "  %-38s does not apply (classic pcap has no interfaces)@." name;
+      true
+    end
+    else begin
+      let matched = ref 0 and bad = ref [] in
+      Hashtbl.iter
+        (fun port (n, d) ->
+          let frames, digest = fold captured port in
+          if (frames, digest) = (n, d) then matched := !matched + n
+          else
+            bad :=
+              Printf.sprintf "%s: %d frames, %d dequeues%s" port frames n
+                (if frames = n then ", other times or ids" else "")
+              :: !bad)
+        traced;
+      let detail =
+        match List.sort compare !bad with
+        | [] -> ""
+        | first :: _ -> Printf.sprintf "%d port(s) disagree (e.g. %s)" (List.length !bad) first
+      in
+      check
+        (Printf.sprintf "%s (%d ports, %d of %d frames)" name (Hashtbl.length traced) !matched
+           frames)
+        (!bad = []) detail
+    end
+  in
+  (feed, frame, verdict)
 
 (* INT stamps must agree with the queue's own story: every Int_hop's
    ingress/egress must coincide with the packet's Enqueue/Dequeue pair at
@@ -549,6 +613,7 @@ let validate ~pcap ~trace ~report =
   let events = ref 0 in
   let lifecycle, check_lifecycles = lifecycles () in
   let tap, check_counts = tap_counts () in
+  let dequeue, port_frame, check_ports = port_frames () in
   let stamps, check_stamps = int_stamps () in
   let sink = Int_sink.create () in
   let replay = Int_sink.replay (fun _ -> Some sink) in
@@ -556,11 +621,12 @@ let validate ~pcap ~trace ~report =
       incr events;
       lifecycle ev;
       tap ev;
+      dequeue now ev;
       stamps now ev;
       replay now ev);
   Format.printf "validating %s against %s%s@." pcap trace
     (match report with Some r -> " and " ^ r | None -> "");
-  let frames, check_roundtrip = scan_capture pcap in
+  let frames, check_roundtrip = scan_capture pcap ~port_frame in
   let report = Option.map load_report report in
   let metrics = Option.map snd report in
   (* Run every check even after a failure, so one run reports them all. *)
@@ -568,9 +634,10 @@ let validate ~pcap ~trace ~report =
   let c2 = check_roundtrip () in
   let c3 = check_lifecycles () in
   let c4 = check_counts ~frames ~metrics in
-  let c5 = check_stamps (Int_sink.rows sink) ~metrics in
-  let c6 = match report with Some (json, _) -> check_int_replay sink json | None -> true in
-  let ok = c1 && c2 && c3 && c4 && c5 && c6 in
+  let c5 = check_ports ~frames in
+  let c6 = check_stamps (Int_sink.rows sink) ~metrics in
+  let c7 = match report with Some (json, _) -> check_int_replay sink json | None -> true in
+  let ok = c1 && c2 && c3 && c4 && c5 && c6 && c7 in
   if not ok then failf "validation failed";
   Format.printf "all checks passed@."
 
@@ -642,7 +709,10 @@ let why_cmd =
 
 let validate_cmd =
   let pcap_arg =
-    let doc = "Capture file (pcap or pcapng) to validate." in
+    let doc =
+      "Capture file (pcap or pcapng) to validate.  A pcapng capture's transmit-queue \
+       interfaces are also matched, frame by frame, to the trace's dequeue events."
+    in
     Arg.(required & opt (some file) None & info [ "pcap" ] ~docv:"FILE" ~doc)
   in
   let trace_arg =

@@ -31,23 +31,15 @@ let store root ~key ~src =
   let dst = entry_dir root key in
   if Sys.file_exists dst then rm_rf src else Sys.rename src dst
 
-let list root =
+let keys root =
   let dir = cache_dir root in
-  let keys =
-    if Sys.file_exists dir && Sys.is_directory dir then Array.to_list (Sys.readdir dir)
-    else []
-  in
-  List.filter_map (fun key -> find root ~key) (List.sort String.compare keys)
+  if Sys.file_exists dir && Sys.is_directory dir then
+    List.sort String.compare (Array.to_list (Sys.readdir dir))
+  else []
 
-let remove root ~key = rm_rf (entry_dir root key)
+let list root = List.filter_map (fun key -> find root ~key) (keys root)
 
 let gc root ~live =
-  let dir = cache_dir root in
-  let keys =
-    if Sys.file_exists dir && Sys.is_directory dir then Array.to_list (Sys.readdir dir)
-    else []
-  in
-  let dead = List.filter (fun key -> not (List.mem key live)) keys in
-  let dead = List.sort String.compare dead in
-  List.iter (fun key -> remove root ~key) dead;
+  let dead = List.filter (fun key -> not (List.mem key live)) (keys root) in
+  List.iter (fun key -> rm_rf (entry_dir root key)) dead;
   dead

@@ -10,11 +10,8 @@
 
 type entry = { key : string; meta : Obs.Json.t }
 
-val cache_dir : string -> string
-val entry_dir : string -> string -> string
 val report_path : string -> string -> string
-val meta_path : string -> string -> string
-(** [cache_dir root], [entry_dir root key], ... path helpers. *)
+(** [report_path root key] is the entry's stored [report.json]. *)
 
 val mkdir_p : string -> unit
 val rm_rf : string -> unit
@@ -24,14 +21,12 @@ val find : string -> key:string -> entry option
 
 val store : string -> key:string -> src:string -> unit
 (** Move the scratch directory [src] (which must already contain
-    [report.json] and [meta.json]) into place as [entry_dir root key].
+    [report.json] and [meta.json]) into place as [<root>/cache/<key>].
     If the entry already exists the scratch copy is discarded — first
     store wins, keeping cached bytes stable. *)
 
 val list : string -> entry list
 (** All entries, sorted by key. *)
-
-val remove : string -> key:string -> unit
 
 val gc : string -> live:string list -> string list
 (** Remove every entry whose key is not in [live]; returns the removed

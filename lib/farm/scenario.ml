@@ -15,18 +15,23 @@ let rec canonicalize = function
   | Obs.Json.List items -> Obs.Json.List (List.map canonicalize items)
   | leaf -> leaf
 
-let canonical_string t =
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       [
-         ("id", Obs.Json.String t.id);
-         ("kind", Obs.Json.String t.kind);
-         ("seed", Obs.Json.Int t.seed);
-         ("config", canonicalize t.config);
-       ])
-
 let key ~fingerprint t =
-  Digest.to_hex (Digest.string (fingerprint ^ "\n" ^ canonical_string t))
+  (* The argv meta.json records, less the executable: the fingerprint
+     already covers its contents. *)
+  let args =
+    match t.argv ~report:"report.json" ~dir:"." with [] -> [] | _exe :: args -> args
+  in
+  let identity =
+    Obs.Json.Obj
+      [
+        ("id", Obs.Json.String t.id);
+        ("kind", Obs.Json.String t.kind);
+        ("seed", Obs.Json.Int t.seed);
+        ("config", canonicalize t.config);
+        ("argv", Obs.Json.List (List.map (fun a -> Obs.Json.String a) args));
+      ]
+  in
+  Digest.to_hex (Digest.string (fingerprint ^ "\n" ^ Obs.Json.to_string identity))
 
 let fingerprint_of_exes exes =
   Digest.to_hex (Digest.string (String.concat "" (List.map Digest.file exes)))
@@ -74,17 +79,18 @@ let bench_smoke ~exe =
             "--report";
             report;
             (* Profile every cached smoke run: the report grows a profile
-               section (dashboard panel, ns/packet baselines) and the
-               folded stacks become a cached artifact next to it. *)
+               section (ns/packet baselines) and the folded stacks become
+               a cached artifact next to it. *)
             "--profile=" ^ Filename.concat dir "profile.folded";
-            (* Trace + pcap cover the INT- and attribution-enabled
+            (* Trace + capture cover the INT- and attribution-enabled
                simulation portion (closed before the cpu microbench), so
                CI can run `trace_query validate` against the farm's own
-               cached smoke artifacts. *)
+               cached smoke artifacts; pcapng keeps one interface per
+               tap, which the per-port frame check needs. *)
             "--trace";
             Filename.concat dir "trace.jsonl";
             "--pcap";
-            Filename.concat dir "smoke.pcap";
+            Filename.concat dir "smoke.pcapng";
           ]);
     };
   ]

@@ -3,9 +3,10 @@
 
     Identity is content-addressed: the cache key of a scenario is the
     digest of its canonical description (id, kind, seed, canonicalized
-    config JSON) plus the code fingerprint of the executables that would
-    run it — so a scenario re-runs exactly when its parameters or the
-    simulator binary change, and never otherwise. *)
+    config JSON, command-line arguments) plus the code fingerprint of the
+    executables that would run it — so a scenario re-runs exactly when
+    its parameters, its arguments or the simulator binary change, and
+    never otherwise. *)
 
 type t = {
   id : string;  (** unique stable id, e.g. ["fig8"], ["fuzz-0007"] *)
@@ -22,11 +23,10 @@ val canonicalize : Obs.Json.t -> Obs.Json.t
 (** Recursively sort object fields by key, so two configs that differ only
     in field order serialize — and therefore hash — identically. *)
 
-val canonical_string : t -> string
-(** Compact JSON of [(id, kind, seed, canonicalize config)]. *)
-
 val key : fingerprint:string -> t -> string
-(** Hex digest naming this scenario's cache entry. *)
+(** Hex digest naming this scenario's cache entry: [fingerprint] with
+    [(id, kind, seed, canonicalize config)] and the arguments of
+    [argv ~report:"report.json" ~dir:"."] after the executable. *)
 
 val fingerprint_of_exes : string list -> string
 (** Hex digest of the given binaries' contents — the "code version" input
@@ -45,4 +45,5 @@ val fuzz : exe:string -> seeds:int list -> t list
 
 val bench_smoke : exe:string -> t list
 (** The CI smoke benchmark, run as [exe smoke --report <path>] with its
-    folded profile stacks, trace and pcap written into [<dir>]. *)
+    folded profile stacks, trace and pcapng capture written into
+    [<dir>]. *)

@@ -10,7 +10,6 @@ type summary = {
 }
 
 let corpus_path root = Filename.concat root "corpus.json"
-let history_path root = Filename.concat root "history.json"
 let tmp_dir root = Filename.concat root "tmp"
 
 let plan ~root ~fingerprint scenarios =
@@ -19,23 +18,6 @@ let plan ~root ~fingerprint scenarios =
       let key = Scenario.key ~fingerprint s in
       { scenario = s; key; cached = Cache.find root ~key <> None })
     scenarios
-
-(* ------------------------------------------------------------------ *)
-(* JSON spelunking                                                     *)
-
-let number = function
-  | Obs.Json.Int i -> Some (float_of_int i)
-  | Obs.Json.Float f -> Some f
-  | _ -> None
-
-let ( >>= ) v f = Option.bind v f
-
-let scalar report name =
-  Obs.Json.member "scalars" report >>= Obs.Json.member name >>= number
-
-let percentile report name p =
-  Obs.Json.member "percentiles" report >>= Obs.Json.member name >>= Obs.Json.member p
-  >>= number
 
 (* ------------------------------------------------------------------ *)
 (* Corpus merge                                                        *)
@@ -93,90 +75,8 @@ let write_corpus ~root ~fingerprint scenarios =
   path
 
 (* ------------------------------------------------------------------ *)
-(* History: one trajectory point per code fingerprint                  *)
 
-let history ~root =
-  match Obs.Report.read_file ~path:(history_path root) with
-  | Error _ -> []
-  | Ok json -> (
-    match Obs.Json.member "runs" json with Some (Obs.Json.List runs) -> runs | _ -> [])
-
-let history_entry ~root ~fingerprint items =
-  let metas =
-    List.filter_map
-      (fun item -> Option.map (fun e -> e.Cache.meta) (Cache.find root ~key:item.key))
-      items
-  in
-  let reports =
-    List.filter_map
-      (fun item ->
-        match Obs.Report.read_file ~path:(Cache.report_path root item.key) with
-        | Ok report -> Some (item.scenario, report)
-        | Error _ -> None)
-      items
-  in
-  let wall_total =
-    List.fold_left
-      (fun acc meta ->
-        match Obs.Json.member "wall_s" meta >>= number with
-        | Some w -> acc +. w
-        | None -> acc)
-      0.0 metas
-  in
-  let fuzz_violations =
-    List.fold_left
-      (fun acc (s, report) ->
-        if s.Scenario.kind <> "fuzz" then acc
-        else match scalar report "violations" with Some v -> acc +. v | None -> acc)
-      0.0 reports
-  in
-  let smoke =
-    List.find_opt (fun (s, _) -> s.Scenario.id = "bench-smoke") reports
-    |> Option.map snd
-  in
-  let opt name v = Option.map (fun v -> (name, Obs.Json.Float v)) v in
-  let scalars =
-    List.filter_map Fun.id
-      [
-        Some ("wall_s_total", Obs.Json.Float wall_total);
-        Some ("fuzz_violations", Obs.Json.Float fuzz_violations);
-        opt "smoke_goodput_gbps" (smoke >>= fun r -> scalar r "aggregate_goodput_gbps");
-        opt "smoke_probe_rtt_ms_p50" (smoke >>= fun r -> percentile r "probe_rtt_ms" "p50");
-        opt "smoke_switch_drops" (smoke >>= fun r -> scalar r "switch_drops");
-      ]
-  in
-  Obs.Json.Obj
-    [
-      ("fingerprint", Obs.Json.String fingerprint);
-      ("scenarios", Obs.Json.Int (List.length items));
-      ("scalars", Obs.Json.Obj scalars);
-    ]
-
-let update_history ~root ~fingerprint items =
-  let runs = history ~root in
-  let seen =
-    List.exists
-      (fun run ->
-        match Obs.Json.member "fingerprint" run with
-        | Some (Obs.Json.String f) -> String.equal f fingerprint
-        | _ -> false)
-      runs
-  in
-  if not seen then begin
-    let runs = runs @ [ history_entry ~root ~fingerprint items ] in
-    let oc = open_out (history_path root) in
-    Obs.Json.to_channel oc
-      (Obs.Json.Obj
-         [
-           ("schema", Obs.Json.String "acdc-farm-history/1");
-           ("runs", Obs.Json.List runs);
-         ]);
-    close_out oc
-  end
-
-(* ------------------------------------------------------------------ *)
-
-let run ?(jobs = 1) ?(record_history = true) ~root ~fingerprint scenarios =
+let run ?(jobs = 1) ~root ~fingerprint scenarios =
   Cache.mkdir_p root;
   let items = plan ~root ~fingerprint scenarios in
   let misses = List.filter (fun item -> not item.cached) items in
@@ -224,9 +124,6 @@ let run ?(jobs = 1) ?(record_history = true) ~root ~fingerprint scenarios =
       results
   in
   let corpus_path = write_corpus ~root ~fingerprint scenarios in
-  let items = plan ~root ~fingerprint scenarios in
-  if record_history && List.for_all (fun item -> item.cached) items then
-    update_history ~root ~fingerprint items;
   (* Drop the scratch area once nothing in it is needed for debugging. *)
   if failures = [] && Sys.file_exists tmp then Cache.rm_rf tmp;
   {

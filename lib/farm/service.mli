@@ -19,31 +19,11 @@ type summary = {
 
 val plan : root:string -> fingerprint:string -> Scenario.t list -> plan_item list
 
-val corpus_entries :
-  root:string -> fingerprint:string -> Scenario.t list -> (string * Obs.Json.t) list
-(** One [(id, body)] pair per *cached* scenario; the body carries the
-    deterministic provenance fields (kind, seed, key, canonical config)
-    plus the stored report.  Wall-clock provenance stays in [meta.json]
-    and out of the corpus so merged output never depends on scheduling. *)
-
-val run :
-  ?jobs:int ->
-  ?record_history:bool ->
-  root:string ->
-  fingerprint:string ->
-  Scenario.t list ->
-  summary
+val run : ?jobs:int -> root:string -> fingerprint:string -> Scenario.t list -> summary
 (** The whole cycle.  Failed scenarios (nonzero exit, or no report
     written) are not cached — their scratch dirs survive under
-    [<root>/tmp/] for inspection and they re-run next time.  When
-    [record_history] (default [true] — callers running a *partial*
-    selection should pass [false]), the history file
-    ([<root>/history.json]) gains one entry per fingerprint, and only
-    once every scheduled scenario is cached, so re-runs never append. *)
-
-val history : root:string -> Obs.Json.t list
-(** The recorded per-fingerprint trajectory, oldest first. *)
-
-val write_corpus : root:string -> fingerprint:string -> Scenario.t list -> string
-(** Re-merge from cache without running anything; returns the corpus
-    path. *)
+    [<root>/tmp/] for inspection and they re-run next time.  The corpus
+    holds one entry per *cached* scenario: its kind, seed, key, canonical
+    config and stored report.  Wall-clock provenance stays in each
+    entry's [meta.json], so the merged bytes never depend on
+    scheduling. *)

@@ -76,6 +76,11 @@ let test_key_sensitivity () =
   differs "config value changes the key"
     { base with Scenario.config = Json.Obj [ ("mtu", Json.Int 1500) ] };
   differs "id changes the key" { base with Scenario.id = "other" };
+  differs "arguments change the key"
+    {
+      base with
+      Scenario.argv = (fun ~report ~dir -> base.Scenario.argv ~report ~dir @ [ "--int" ]);
+    };
   check_bool "fingerprint changes the key" false
     (String.equal key (Scenario.key ~fingerprint:"0000" base))
 
