@@ -15,24 +15,27 @@ let fail fmt =
 
 let writing flag f = try f () with Sys_error msg -> fail "cannot write %s: %s" flag msg
 
-(* Run each experiment bracketed by the observability harness; returns
-   each id's wall time and simulator event count. *)
+(* Run each experiment bracketed by the observability harness.  The
+   report exists before the first id so each entry can add its rows to
+   it; returns it with each id's wall time and simulator event count. *)
 let run_ids ids =
-  List.map
-    (fun id ->
-      let e = Option.get (Experiments.Registry.find id) in
-      let wall_s, events =
-        Experiments.Harness.timed_run (fun () -> e.Experiments.Registry.run ())
-      in
-      Format.printf "  [%s finished in %.1fs]@." id wall_s;
-      (id, wall_s, events))
-    ids
-
-let write_report ~path runs =
-  let ids = List.map (fun (id, _, _) -> id) runs in
   let report = Obs.Report.create ~id:(String.concat "+" ids) in
   Obs.Report.add_config report "experiments"
     (Obs.Json.List (List.map (fun id -> Obs.Json.String id) ids));
+  let runs =
+    List.map
+      (fun id ->
+        let e = Option.get (Experiments.Registry.find id) in
+        let wall_s, events =
+          Experiments.Harness.timed_run (fun () -> e.Experiments.Registry.run report)
+        in
+        Format.printf "  [%s finished in %.1fs]@." id wall_s;
+        (id, wall_s, events))
+      ids
+  in
+  (report, runs)
+
+let write_report ~path report runs =
   List.iter
     (fun (id, wall_s, events) ->
       Obs.Report.add_scalar report (id ^ ".wall_s") wall_s;
@@ -237,10 +240,10 @@ let main verbose list trace trace_filter pcap report timeseries impair profile
     | None ->
       if list || ids = [] then list_experiments ()
       else begin
-        let runs = run_ids ids in
+        let run_report, runs = run_ids ids in
         Option.iter
           (fun path ->
-            write_report ~path runs;
+            write_report ~path run_report runs;
             Format.printf "  [report written to %s]@." path)
           report;
         Option.iter (Format.printf "  [timeseries written to %s]@.") timeseries

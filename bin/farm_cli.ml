@@ -7,17 +7,12 @@
      farm gate --record ...     record whether CI's regression gate ran
 
    Scenario identity is (id, kind, seed, canonical config JSON, arguments)
-   hashed together with the digest of the worker executables, so a
+   hashed together with the digest of the worker executable, so a
    scenario re-runs exactly when its parameters or the simulator code
    change.  [<root>/corpus.json] is the sweep's one merged artifact. *)
 
 let default_expt_exe () =
   Filename.concat (Filename.dirname Sys.executable_name) "acdc_expt.exe"
-
-let default_bench_exe () =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat (Filename.concat ".." "bench") "main.exe")
 
 type ctx = {
   root : string;
@@ -25,30 +20,20 @@ type ctx = {
   scenarios : Farm.Scenario.t list;
 }
 
-(* Build the full scenario universe (figures + fuzz corpus + bench smoke)
-   and the code fingerprint over the executables that run it. *)
-let make_ctx ~root ~expt_exe ~bench_exe ~no_bench ~fuzz_count ~fuzz_seed =
+(* Build the full scenario universe (every registry id + the fuzz corpus)
+   and the code fingerprint over the executable that runs it. *)
+let make_ctx ~root ~expt_exe ~fuzz_count ~fuzz_seed =
   let expt_exe = Option.value expt_exe ~default:(default_expt_exe ()) in
-  let bench_exe = Option.value bench_exe ~default:(default_bench_exe ()) in
   if not (Sys.file_exists expt_exe) then begin
     Format.eprintf "farm: worker executable %s not found (build it, or pass --expt-exe)@."
       expt_exe;
     exit 1
   end;
-  if (not no_bench) && not (Sys.file_exists bench_exe) then begin
-    Format.eprintf
-      "farm: bench executable %s not found (build it, pass --bench-exe, or use --no-bench)@."
-      bench_exe;
-    exit 1
-  end;
   let seeds = List.init fuzz_count (fun i -> fuzz_seed + i) in
   let scenarios =
-    Farm.Scenario.figures ~exe:expt_exe ()
-    @ Farm.Scenario.fuzz ~exe:expt_exe ~seeds
-    @ (if no_bench then [] else Farm.Scenario.bench_smoke ~exe:bench_exe)
+    Farm.Scenario.figures ~exe:expt_exe () @ Farm.Scenario.fuzz ~exe:expt_exe ~seeds
   in
-  let exes = expt_exe :: (if no_bench then [] else [ bench_exe ]) in
-  { root; fingerprint = Farm.Scenario.fingerprint_of_exes exes; scenarios }
+  { root; fingerprint = Farm.Scenario.fingerprint_of_exe expt_exe; scenarios }
 
 let select ~ids ~filter ~changed_only ctx =
   let scenarios = ctx.scenarios in
@@ -186,14 +171,6 @@ let expt_exe_arg =
   let doc = "Path to acdc_expt.exe (default: next to farm.exe)." in
   Arg.(value & opt (some string) None & info [ "expt-exe" ] ~docv:"EXE" ~doc)
 
-let bench_exe_arg =
-  let doc = "Path to bench/main.exe (default: ../bench/main.exe next to farm.exe)." in
-  Arg.(value & opt (some string) None & info [ "bench-exe" ] ~docv:"EXE" ~doc)
-
-let no_bench_arg =
-  let doc = "Leave the bench smoke scenario out of the scenario set." in
-  Arg.(value & flag & info [ "no-bench" ] ~doc)
-
 let fuzz_count_arg =
   let doc = "Number of fuzz scenarios in the corpus." in
   Arg.(value & opt int 25 & info [ "fuzz-count" ] ~docv:"N" ~doc)
@@ -203,12 +180,8 @@ let fuzz_seed_arg =
   Arg.(value & opt int 1 & info [ "fuzz-seed" ] ~docv:"SEED" ~doc)
 
 let ctx_term =
-  let make root expt_exe bench_exe no_bench fuzz_count fuzz_seed =
-    make_ctx ~root ~expt_exe ~bench_exe ~no_bench ~fuzz_count ~fuzz_seed
-  in
-  Term.(
-    const make $ root_arg $ expt_exe_arg $ bench_exe_arg $ no_bench_arg $ fuzz_count_arg
-    $ fuzz_seed_arg)
+  let make root expt_exe fuzz_count fuzz_seed = make_ctx ~root ~expt_exe ~fuzz_count ~fuzz_seed in
+  Term.(const make $ root_arg $ expt_exe_arg $ fuzz_count_arg $ fuzz_seed_arg)
 
 let jobs_arg =
   let doc = "Worker processes to run cache misses on." in

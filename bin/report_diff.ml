@@ -1,5 +1,5 @@
 (* Compare two run reports field by field and exit nonzero on
-   regression — the CI gate behind the bench smoke report.
+   regression — the CI gate behind the smoke report.
 
    Exit codes: 0 no regression, 1 regression found, 2 usage error or an
    input that is not a report.  Both inputs go through

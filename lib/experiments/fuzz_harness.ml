@@ -107,9 +107,10 @@ let virtual_deadline = Time_ns.sec 5.0
 let storm_bound ~acked_segments = 100 + (acked_segments * 35 / 100)
 
 let run_scenario scenario =
-  (* Per-scenario isolation: fresh ids, zeroed ambient registry — also
-     what makes a fixed-seed fuzz report byte-identical across runs. *)
-  Dcpkt.Packet.reset_ids ();
+  (* Per-scenario isolation: a zeroed ambient registry — also what makes a
+     fixed-seed fuzz report byte-identical across runs.  Packet ids carry
+     on from the previous scenario: they reach only traces and wire bytes,
+     and one trace of a batch must not reuse them. *)
   Obs.Runtime.reset_metrics ();
   (* Attribution is on for every scenario: invariant 7 wants the exactness
      contract checked against random send/stall schedules, and the fuzzer
@@ -385,7 +386,6 @@ type adversarial_result = {
 let adversarial ?(impair = Impair.clean) ?(seed = 1) () =
   let pairs = 3 in
   let run ~with_cheater =
-    Dcpkt.Packet.reset_ids ();
     Obs.Runtime.reset_metrics ();
     let engine = Engine.create () in
     let scheme = Harness.acdc () in

@@ -86,21 +86,6 @@ let add_observer_sections report =
   let attrib = Obs.Runtime.attrib () in
   if Obs.Attrib.touched attrib then Obs.Report.set_fct_attrib report (Obs.Attrib.to_json attrib)
 
-let report_of_run ~id ?scheme ?(config = []) ?goodputs ?timeseries () =
-  let report = Obs.Report.create ~id in
-  (match scheme with
-  | Some s -> Obs.Report.add_config report "scheme" (Obs.Json.String s.label)
-  | None -> ());
-  List.iter (fun (key, v) -> Obs.Report.add_config report key v) config;
-  (match goodputs with
-  | Some tputs ->
-    Obs.Report.add_int report "flows" (List.length tputs);
-    Obs.Report.add_scalar report "aggregate_goodput_gbps" (List.fold_left ( +. ) 0.0 tputs)
-  | None -> ());
-  add_observer_sections report;
-  (match timeseries with Some ts -> Obs.Report.embed_timeseries report ts | None -> ());
-  report
-
 (* ------------------------------------------------------------------ *)
 (* Output                                                              *)
 

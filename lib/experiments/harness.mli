@@ -57,20 +57,6 @@ val add_observer_sections : Obs.Report.t -> unit
     the [profile] section plus its three baseline scalars, the [int]
     section and the [fct_attrib] section. *)
 
-val report_of_run :
-  id:string ->
-  ?scheme:scheme ->
-  ?config:(string * Obs.Json.t) list ->
-  ?goodputs:float list ->
-  ?timeseries:Obs.Timeseries.t ->
-  unit ->
-  Obs.Report.t
-(** Assemble a {!Obs.Report} from a finished run: scheme label and extra
-    [config] pairs, flow count plus [aggregate_goodput_gbps] from
-    [goodputs], the {!add_observer_sections}, and the run's time-series
-    embedded.  Callers add run-specific scalars and percentile
-    summaries on the result before writing it. *)
-
 (** {2 Output helpers} *)
 
 val pp_gbps_list : Format.formatter -> float list -> unit
@@ -92,7 +78,7 @@ val pctl : Dcstats.Samples.t -> float -> float
     Experiments register their counters in the ambient
     {!Obs.Runtime.metrics} registry; the driver brackets each run with
     [timed_run] and writes what the run gathered into its
-    {!Obs.Report} ({!report_of_run} or {!add_observer_sections}). *)
+    {!Obs.Report} with {!add_observer_sections}. *)
 
 val reset_run_metrics : unit -> unit
 (** Zero the ambient registry — call before a run for a per-run view. *)

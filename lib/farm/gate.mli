@@ -1,5 +1,5 @@
 (** A tiny marker file recording whether the CI regression gate actually
-    ran.  The gate compares the current bench report against a baseline
+    ran.  The gate compares the current smoke report against a baseline
     artifact recovered from a previous main run; when no baseline can be
     fetched the gate silently degrades to a warning — this marker is how
     [farm.exe status] makes that degradation visible instead of silent. *)

@@ -33,20 +33,35 @@ let key ~fingerprint t =
   in
   Digest.to_hex (Digest.string (fingerprint ^ "\n" ^ Obs.Json.to_string identity))
 
-let fingerprint_of_exes exes =
-  Digest.to_hex (Digest.string (String.concat "" (List.map Digest.file exes)))
+let fingerprint_of_exe exe = Digest.to_hex (Digest.file exe)
 
 (* ------------------------------------------------------------------ *)
+
+(* The smoke run profiles itself and leaves its trace and pcapng capture
+   (one interface per tap, which the per-port frame check needs) next to
+   its report, so CI can run `trace_query validate` against the farm's own
+   cached artifacts. *)
+let artifacts ~dir = function
+  | "smoke" ->
+    [
+      "--profile=" ^ Filename.concat dir "profile.folded";
+      "--trace";
+      Filename.concat dir "trace.jsonl";
+      "--pcap";
+      Filename.concat dir "smoke.pcapng";
+    ]
+  | _ -> []
 
 let figures ~exe () =
   List.map
     (fun e ->
+      let id = e.Experiments.Registry.id in
       {
-        id = e.Experiments.Registry.id;
+        id;
         kind = "figure";
         seed = 0;
         config = e.Experiments.Registry.config;
-        argv = (fun ~report ~dir:_ -> [ exe; e.Experiments.Registry.id; "--report"; report ]);
+        argv = (fun ~report ~dir -> exe :: id :: "--report" :: report :: artifacts ~dir id);
       })
     (Experiments.Registry.all ())
 
@@ -63,34 +78,3 @@ let fuzz ~exe ~seeds =
             [ exe; "--fuzz"; "1"; "--seed"; string_of_int seed; "--report"; report ]);
       })
     seeds
-
-let bench_smoke ~exe =
-  [
-    {
-      id = "bench-smoke";
-      kind = "bench";
-      seed = 0;
-      config = Obs.Json.Obj [ ("scenario", Obs.Json.String "smoke") ];
-      argv =
-        (fun ~report ~dir ->
-          [
-            exe;
-            "smoke";
-            "--report";
-            report;
-            (* Profile every cached smoke run: the report grows a profile
-               section (ns/packet baselines) and the folded stacks become
-               a cached artifact next to it. *)
-            "--profile=" ^ Filename.concat dir "profile.folded";
-            (* Trace + capture cover the INT- and attribution-enabled
-               simulation portion (closed before the cpu microbench), so
-               CI can run `trace_query validate` against the farm's own
-               cached smoke artifacts; pcapng keeps one interface per
-               tap, which the per-port frame check needs. *)
-            "--trace";
-            Filename.concat dir "trace.jsonl";
-            "--pcap";
-            Filename.concat dir "smoke.pcapng";
-          ]);
-    };
-  ]

@@ -4,13 +4,13 @@
     Identity is content-addressed: the cache key of a scenario is the
     digest of its canonical description (id, kind, seed, canonicalized
     config JSON, command-line arguments) plus the code fingerprint of the
-    executables that would run it — so a scenario re-runs exactly when
-    its parameters, its arguments or the simulator binary change, and
-    never otherwise. *)
+    executable that would run it — so a scenario re-runs exactly when its
+    parameters, its arguments or the simulator binary change, and never
+    otherwise. *)
 
 type t = {
   id : string;  (** unique stable id, e.g. ["fig8"], ["fuzz-0007"] *)
-  kind : string;  (** ["figure"], ["fuzz"], ["bench"] *)
+  kind : string;  (** ["figure"], ["fuzz"] *)
   seed : int;
   config : Obs.Json.t;  (** scenario parameters, canonicalized for hashing *)
   argv : report:string -> dir:string -> string list;
@@ -28,22 +28,18 @@ val key : fingerprint:string -> t -> string
     [(id, kind, seed, canonicalize config)] and the arguments of
     [argv ~report:"report.json" ~dir:"."] after the executable. *)
 
-val fingerprint_of_exes : string list -> string
-(** Hex digest of the given binaries' contents — the "code version" input
-    to every cache key.  Raises [Sys_error] if a binary is missing. *)
+val fingerprint_of_exe : string -> string
+(** Hex digest of the binary's contents — the "code version" input to
+    every cache key.  Raises [Sys_error] if it is missing. *)
 
 (** {2 The built-in scenario sets} *)
 
 val figures : exe:string -> unit -> t list
 (** One scenario per {!Experiments.Registry} entry, run as
-    [exe <id> --report <path>]. *)
+    [exe <id> --report <path>]; [smoke] also writes its folded profile
+    stacks, trace and pcapng capture into [<dir>]. *)
 
 val fuzz : exe:string -> seeds:int list -> t list
 (** One scenario per seed, run as [exe --fuzz 1 --seed <n> --report <path>].
     A scenario whose invariants are violated exits nonzero and is not
     cached, so it re-runs (and keeps failing CI) until fixed. *)
-
-val bench_smoke : exe:string -> t list
-(** The CI smoke benchmark, run as [exe smoke --report <path>] with its
-    folded profile stacks, trace and pcapng capture written into
-    [<dir>]. *)

@@ -210,13 +210,34 @@ let test_registry_ids_unique () =
   check_int "no duplicate registry ids" (List.length ids)
     (List.length (List.sort_uniq String.compare ids))
 
+(* acdc_expt is the only driver: the smoke run, Figs. 11-12 and the two
+   ablations are registry ids, and the farm runs every id, the smoke run
+   with its three artifact flags. *)
+let test_registry_lists_driver_ids () =
+  let ids = Experiments.Registry.ids () in
+  List.iter
+    (fun id -> check_bool (id ^ " registered") true (List.mem id ids))
+    [ "smoke"; "fig11-12"; "ablation-fack"; "ablation-floor" ];
+  let scenarios = Scenario.figures ~exe:"acdc_expt" () in
+  Alcotest.(check (list string))
+    "one scenario per registry id" ids
+    (List.map (fun s -> s.Scenario.id) scenarios);
+  let smoke = List.find (fun s -> s.Scenario.id = "smoke") scenarios in
+  Alcotest.(check (list string))
+    "smoke argv"
+    [
+      "acdc_expt"; "smoke"; "--report"; "r.json"; "--profile=d/profile.folded"; "--trace";
+      "d/trace.jsonl"; "--pcap"; "d/smoke.pcapng";
+    ]
+    (smoke.Scenario.argv ~report:"r.json" ~dir:"d")
+
 let test_registry_collision_checked () =
-  Experiments.Registry.register ~id:"test-farm-unique" ~title:"scratch" (fun () -> ());
+  Experiments.Registry.register ~id:"test-farm-unique" ~title:"scratch" (fun _ -> ());
   Alcotest.check_raises "duplicate id rejected at registration"
     (Invalid_argument
        "Experiments.Registry.register: duplicate experiment id \"test-farm-unique\"")
     (fun () ->
-      Experiments.Registry.register ~id:"test-farm-unique" ~title:"shadow" (fun () -> ()));
+      Experiments.Registry.register ~id:"test-farm-unique" ~title:"shadow" (fun _ -> ()));
   (* the original registration is intact, not shadowed *)
   match Experiments.Registry.find "test-farm-unique" with
   | Some e -> check_string "original survives" "scratch" e.Experiments.Registry.title
@@ -247,6 +268,7 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "ids unique" `Quick test_registry_ids_unique;
+          Alcotest.test_case "one driver's ids" `Quick test_registry_lists_driver_ids;
           Alcotest.test_case "collision-checked registration" `Quick
             test_registry_collision_checked;
         ] );

@@ -41,6 +41,24 @@ let test_report_determinism () =
   in
   check_bool "report names the root seed" true (contains first "\"root_seed\":1")
 
+(* One trace of a fuzz batch names each packet once: ids carry on from one
+   scenario to the next, so `trace_query validate` can check the batch. *)
+let test_batch_ids_unique () =
+  let seen = Hashtbl.create 4096 and repeats = ref 0 in
+  let tracer =
+    Obs.Trace.jsonl ~write:(fun line ->
+        match Result.bind (Obs.Json.of_string line) Obs.Trace.event_of_json with
+        | Ok (_, Obs.Trace.Created { pkt; _ }) ->
+          if Hashtbl.mem seen pkt then incr repeats else Hashtbl.add seen pkt ()
+        | Ok _ | Error _ -> ())
+  in
+  Obs.Runtime.set_tracer tracer;
+  Fun.protect
+    ~finally:(fun () -> Obs.Runtime.set_tracer Obs.Trace.null)
+    (fun () -> ignore (Fuzz.run ~count:2 ~seed:1));
+  check_bool "packets traced" true (Hashtbl.length seen > 0);
+  check_int "no created id repeats across the batch" 0 !repeats
+
 (* Scenario sampling is a pure function of the seed. *)
 let test_scenario_determinism () =
   let a = Fuzz.scenario_of_seed ~seed:7 and b = Fuzz.scenario_of_seed ~seed:7 in
@@ -106,6 +124,7 @@ let () =
         [
           Alcotest.test_case "scenario sampling" `Quick test_scenario_determinism;
           Alcotest.test_case "report bytes" `Quick test_report_determinism;
+          Alcotest.test_case "batch packet ids unique" `Quick test_batch_ids_unique;
         ] );
       ( "invariants",
         [ Alcotest.test_case "seeded batch holds" `Slow test_seeded_batch_holds ] );

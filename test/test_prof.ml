@@ -276,7 +276,9 @@ let test_report_carries_profile () =
         Dcpkt.Int_meta.set_enabled false)
       (fun () ->
         mini_run ~pairs:2 ~duration_ms:10;
-        Obs.Report.to_json (Experiments.Harness.report_of_run ~id:"prof-test" ()))
+        let report = Obs.Report.create ~id:"prof-test" in
+        Experiments.Harness.add_observer_sections report;
+        Obs.Report.to_json report)
   in
   let observer_sections = [ "metrics"; "timeseries"; "profile"; "int"; "fct_attrib" ] in
   let keys = match json with Json.Obj fields -> List.map fst fields | _ -> [] in

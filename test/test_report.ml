@@ -377,6 +377,54 @@ let test_same_seed_byte_identical () =
   let outcome = Obs.Diff.diff ~base:(parse report_a) ~current:(parse report_b) () in
   check_int "identical runs pass the gate" 0 outcome.Obs.Diff.regressions
 
+(* ------------------------------------------------------------------ *)
+(* The smoke run writes CI's gated rows into the report it is given,
+   and leaves INT and attribution as it found them.                    *)
+
+let smoke_report () =
+  let report = Obs.Report.create ~id:"smoke" in
+  Experiments.Harness.reset_run_metrics ();
+  Experiments.Smoke.run report;
+  Obs.Report.to_json report
+
+let int_and_attrib () = (Dcpkt.Int_meta.enabled (), Obs.Attrib.enabled (Obs.Runtime.attrib ()))
+
+let test_smoke_rows () =
+  let json = smoke_report () in
+  let keys name =
+    match Json.member name json with Some (Json.Obj fields) -> List.map fst fields | _ -> []
+  in
+  Alcotest.(check (list string))
+    "config" [ "scheme"; "pairs"; "warmup_ms"; "duration_ms" ] (keys "config");
+  List.iter
+    (fun key -> check_bool (key ^ " present") true (List.mem key (keys "scalars")))
+    [ "flows"; "aggregate_goodput_gbps"; "switch_drops"; "sched_wheel_ns_per_op" ];
+  check_bool "flows = 5" true
+    (Option.bind (Json.member "scalars" json) (Json.member "flows") = Some (Json.Int 5));
+  Alcotest.(check (list string)) "percentiles" [ "probe_rtt_ms" ] (keys "percentiles");
+  (match Json.member "timeseries" json with
+  | Some (Json.List [ embedded ]) ->
+    check_bool "embedded time series non-empty" true
+      (match Json.member "embedded" embedded with Some (Json.List (_ :: _)) -> true | _ -> false)
+  | _ -> Alcotest.fail "expected one embedded time series");
+  Alcotest.(check (pair bool bool)) "INT and attribution off again" (false, false)
+    (int_and_attrib ())
+
+let test_smoke_keeps_flags () =
+  let attrib = Obs.Runtime.attrib () in
+  Dcpkt.Int_meta.set_enabled true;
+  Obs.Attrib.set_enabled attrib true;
+  let after =
+    Fun.protect
+      ~finally:(fun () ->
+        Dcpkt.Int_meta.set_enabled false;
+        Obs.Attrib.set_enabled attrib false)
+      (fun () ->
+        ignore (smoke_report ());
+        int_and_attrib ())
+  in
+  Alcotest.(check (pair bool bool)) "INT and attribution still on" (true, true) after
+
 let () =
   Alcotest.run "report"
     [
@@ -410,4 +458,9 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same bytes" `Quick test_same_seed_byte_identical ] );
+      ( "smoke",
+        [
+          Alcotest.test_case "rows in the report" `Quick test_smoke_rows;
+          Alcotest.test_case "INT and attribution kept on" `Quick test_smoke_keeps_flags;
+        ] );
     ]
